@@ -7,6 +7,23 @@ circulant lifting; rate matching punctures the first ``2Z`` systematic
 bits and reads ``n`` consecutive bits from the circular buffer
 (redundancy version 0), wrapping into repetition when ``n`` exceeds the
 buffer.
+
+Two things keep decoding cheap:
+
+- Row tiles.  BP runs over tiles of the batch sized so one ``[rows,
+  edges]`` float64 message array takes about 1 MB and stays in cache,
+  and updates its messages in place.  Rows are independent (early
+  stopping included), so the output is bit for bit the same as decoding
+  the whole batch at once.
+- A pruned graph.  :class:`LdpcCode5G` builds its decoding graph once:
+  the mother graph without the punctured degree-1 parity nodes that rate
+  matching never sends, and without their checks (as in 3GPP TS 38.212
+  rate matching and Sionna's ``prune_pcm``).  The kept edges keep their
+  order, so every sum runs in the same order.  Pruning itself is not
+  exact: a pruned check passes zero or near-zero (about 1e-8 for
+  sum-product) messages and takes part in the early-stop syndrome, so
+  output LLRs can differ in the last bits.  The decisions on the test
+  corpus and the benchmark's reference sweeps are unchanged.
 """
 
 from __future__ import annotations
@@ -29,21 +46,29 @@ LIFTING_SIZES = sorted(
 )
 
 
-class _EdgeGraph:
-    """Flat edge arrays for vectorized flooding-schedule message passing."""
+# Byte budget of one [rows, edges] float64 message array.  The flooding
+# loop keeps a handful of such arrays live, so a tile of this size stays in
+# the per-core caches instead of streaming the whole batch through memory
+# every iteration; chosen with tools/bench_bp.py.
+_TILE_BYTES = 1 << 20
 
-    def __init__(self, pcm: ParityCheckMatrix):
-        var_idx = []
-        chk_starts = [0]
-        for variables in pcm.row_adj:
-            var_idx.extend(int(v) for v in variables)
-            chk_starts.append(len(var_idx))
-        starts = np.asarray(chk_starts, dtype=np.int64)  # length m + 1
-        self.n = pcm.n
-        self.m = pcm.m
+
+class _EdgeGraph:
+    """Flat edge arrays for vectorized flooding-schedule message passing.
+
+    Edges are listed check by check, checks ascending and variables
+    ascending within a check.  Every check needs at least one edge.  The
+    arrays are read-only, so one graph can be shared by worker threads.
+    """
+
+    def __init__(self, n: int, chk_deg: np.ndarray, var_idx: np.ndarray):
+        self.n = n
+        self.m = len(chk_deg)
         self.var_idx = np.asarray(var_idx, dtype=np.int64)
-        self.chk_starts = starts[:-1]
-        self.chk_id = np.repeat(np.arange(pcm.m), np.diff(starts))
+        # Per-check values are spread onto their edges with np.repeat over
+        # chk_deg, which is faster than a gather.
+        self.chk_deg = np.asarray(chk_deg, dtype=np.int64)
+        self.chk_starts = np.cumsum(self.chk_deg) - self.chk_deg
         self.num_edges = len(self.var_idx)
         # Edge order grouped by variable, for segment sums over each
         # variable's incident edges (np.add.at is far slower).
@@ -52,21 +77,29 @@ class _EdgeGraph:
         boundaries = np.flatnonzero(np.diff(sorted_vars)) + 1
         self.var_starts = np.concatenate([[0], boundaries])
         self.var_ids = sorted_vars[self.var_starts]
+        self.tile_rows = max(1, _TILE_BYTES // (8 * max(1, self.num_edges)))
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @classmethod
+    def from_pcm(cls, pcm: ParityCheckMatrix) -> "_EdgeGraph":
+        return cls(pcm.n, [len(v) for v in pcm.row_adj],
+                   np.concatenate(pcm.row_adj))
 
 
 def _edge_graph(pcm: ParityCheckMatrix) -> _EdgeGraph:
     graph = getattr(pcm, "_edge_graph", None)
     if graph is None:
-        graph = _EdgeGraph(pcm)
+        graph = _EdgeGraph.from_pcm(pcm)
         pcm._edge_graph = graph
     return graph
 
 
-def _segment_min2(mag: np.ndarray, starts: np.ndarray, chk_id: np.ndarray):
+def _segment_min2(mag: np.ndarray, starts: np.ndarray, deg: np.ndarray):
     """Per-segment (min, runner-up min, is-the-min mask) along the last axis."""
     min1 = np.minimum.reduceat(mag, starts, axis=-1)
-    min1_e = min1[..., chk_id]
-    at_min = mag == min1_e
+    at_min = mag == np.repeat(min1, deg, axis=-1)
     # Count of elements attaining the minimum, per segment.
     counts = np.add.reduceat(at_min.astype(np.int64), starts, axis=-1)
     masked = np.where(at_min, np.inf, mag)
@@ -77,10 +110,16 @@ def _segment_min2(mag: np.ndarray, starts: np.ndarray, chk_id: np.ndarray):
 _PHI_MIN = 1e-12
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    # phi(x) = -log(tanh(x/2)); self-inverse on (0, inf).
-    x = np.clip(x, _PHI_MIN, LLR_MAX)
-    return -np.log(np.tanh(x / 2.0))
+def _phi_(x: np.ndarray) -> np.ndarray:
+    """phi(x) = -log(tanh(x/2)), in place; self-inverse on (0, inf).
+
+    The input is clipped to [_PHI_MIN, LLR_MAX] first.
+    """
+    np.clip(x, _PHI_MIN, LLR_MAX, out=x)
+    x /= 2.0
+    np.tanh(x, out=x)
+    np.log(x, out=x)
+    return np.negative(x, out=x)
 
 
 def bp_decode(
@@ -105,52 +144,81 @@ def bp_decode(
         (llr_out, hard): total output LLRs and hard decisions, both
         [batch, n].
     """
+    llr = np.atleast_2d(np.asarray(llr))
+    if llr.shape[-1] != pcm.n:
+        raise ValueError(f"LLR length {llr.shape[-1]} does not match n={pcm.n}")
+    return _bp_tiled(llr, _edge_graph(pcm), num_iter, variant, scale,
+                     early_stop)
+
+
+def _bp_tiled(llr, g: _EdgeGraph, num_iter, variant, scale, early_stop):
+    """Run :func:`_bp_tile` over row tiles of ``g.tile_rows`` rows.
+
+    Rows are decoded independently, so the result does not depend on the
+    tiling, bit for bit.
+    """
     if variant not in BP_VARIANTS:
         raise ValueError(f"unknown BP variant {variant!r}")
     if num_iter < 1:
         raise ValueError("num_iter must be >= 1")
-    llr = np.atleast_2d(np.asarray(llr))
-    if llr.shape[-1] != pcm.n:
-        raise ValueError(f"LLR length {llr.shape[-1]} does not match n={pcm.n}")
-
-    g = _edge_graph(pcm)
-    batch = llr.shape[0]
     # Internal sign convention ln(p0/p1) keeps the textbook check update.
-    # Float32 inputs are processed in float32 (half the memory traffic).
+    # The dtype follows the input, but the float64 sign factor of the check
+    # update promotes the messages to float64 from then on.
     dtype = llr.dtype if llr.dtype in (np.float32, np.float64) else np.float64
     channel = -llr.astype(dtype)
-    total = channel.copy()
-    c2v = np.zeros((batch, g.num_edges), dtype=dtype)
     alpha = scale if variant == "scaled-min-sum" else 1.0
+    final = np.empty_like(channel)
+    for lo in range(0, len(channel), g.tile_rows):
+        tile = slice(lo, lo + g.tile_rows)
+        _bp_tile(channel[tile], final[tile], g, num_iter, variant, alpha,
+                 early_stop)
+    llr_out = -final
+    return llr_out, hard_decide(llr_out)
 
-    final = total.copy()
+
+def _bp_tile(channel, final, g: _EdgeGraph, num_iter, variant, alpha,
+             early_stop):
+    """Flooding loop over one tile; writes the total beliefs ln(p0/p1) of
+    each row into ``final``."""
+    total = channel.copy()
+    c2v = np.zeros((len(channel), g.num_edges), dtype=channel.dtype)
     # Rows whose syndrome is already satisfied get frozen and dropped from
-    # the working set, so converged batches cost nothing.
-    active = np.arange(batch)
+    # the working set, so converged rows cost nothing.
+    active = np.arange(len(channel))
 
     for _ in range(num_iter):
         v2c = total[:, g.var_idx] - c2v
 
         signs = np.signbit(v2c)
         par = np.bitwise_xor.reduceat(signs, g.chk_starts, axis=-1)
-        sign_excl = np.where(par[:, g.chk_id] ^ signs, -1.0, 1.0)
+        flip = np.repeat(par, g.chk_deg, axis=-1)
+        flip ^= signs
+        # +-1.0 sign of the other edges' product; float64 whatever the input.
+        sign_excl = flip.astype(np.float64)
+        sign_excl *= -2.0
+        sign_excl += 1.0
 
-        mag = np.abs(v2c)
+        mag = np.abs(v2c, out=v2c)
         if variant == "sum-product":
-            pmag = _phi(mag)
-            psum = np.add.reduceat(pmag, g.chk_starts, axis=-1)
-            mag_excl = _phi(np.clip(psum[:, g.chk_id] - pmag, _PHI_MIN, None))
-            c2v = sign_excl * np.clip(mag_excl, 0.0, 30.0)
+            pmag = _phi_(mag)
+            excl = np.repeat(np.add.reduceat(pmag, g.chk_starts, axis=-1),
+                             g.chk_deg, axis=-1)
+            excl -= pmag
+            sign_excl *= np.clip(_phi_(excl), 0.0, 30.0, out=excl)
         else:
-            min1, min2, at_min, counts = _segment_min2(mag, g.chk_starts, g.chk_id)
-            unique_min = (counts == 1)[:, g.chk_id]
-            excl = np.where(at_min & unique_min, min2[:, g.chk_id], min1[:, g.chk_id])
-            c2v = alpha * sign_excl * excl
+            min1, min2, at_min, counts = _segment_min2(mag, g.chk_starts,
+                                                       g.chk_deg)
+            at_min &= np.repeat(counts == 1, g.chk_deg, axis=-1)
+            excl = np.where(at_min, np.repeat(min2, g.chk_deg, axis=-1),
+                            np.repeat(min1, g.chk_deg, axis=-1))
+            sign_excl *= alpha
+            sign_excl *= excl
+        c2v = sign_excl
 
         total = channel.copy()
         sums = np.add.reduceat(c2v[:, g.var_order], g.var_starts, axis=-1)
         total[:, g.var_ids] += sums
-        total = np.clip(total, -LLR_MAX, LLR_MAX)
+        np.clip(total, -LLR_MAX, LLR_MAX, out=total)
 
         if early_stop:
             hard_now = np.signbit(total)[:, g.var_idx]
@@ -161,15 +229,12 @@ def bp_decode(
                 keep = ~ok
                 active = active[keep]
                 if active.size == 0:
-                    break
+                    return
                 channel = channel[keep]
                 total = total[keep]
                 c2v = c2v[keep]
 
-    if active.size:
-        final[active] = total
-    llr_out = -final
-    return llr_out, hard_decide(llr_out)
+    final[active] = total
 
 
 def exit_mutual_information(llr: np.ndarray, bits: np.ndarray) -> float:
@@ -271,6 +336,38 @@ class LdpcCode5G:
         ]
         self._pcm = None
 
+        # Decoding graph: the mother graph without the punctured degree-1
+        # parity nodes and their checks.  Such a node never receives a
+        # channel value, so its check only passes zero or near-zero
+        # messages.  The 2Z punctured systematic and the filler nodes stay.
+        rows, cols = self._lifted_edges()
+        sent = np.zeros(self.n_full, dtype=bool)
+        sent[self.transmit_idx] = True
+        col_deg = np.bincount(cols, minlength=self.n_full)
+        pruned_var = ~sent & (col_deg == 1)
+        pruned_var[: self.k_full] = False
+        pruned_chk = np.zeros(self.m_full, dtype=bool)
+        pruned_chk[rows[pruned_var[cols]]] = True
+        kept = ~pruned_chk[rows]
+        # Renumbered variables keep their order, so the k info bits stay
+        # first and the kept edges stay in the mother graph's order.
+        self._decode_cols = np.flatnonzero(~pruned_var)
+        new_col = np.cumsum(~pruned_var) - 1
+        chk_deg = np.bincount(rows[kept], minlength=self.m_full)[~pruned_chk]
+        self._graph = _EdgeGraph(len(self._decode_cols), chk_deg,
+                                 new_col[cols[kept]])
+
+    def _lifted_edges(self):
+        """Mother-code edges (rows, cols), sorted by row, then column."""
+        z = self.z
+        base = np.array([(r, c, s) for (r, c), s in self._entries.items()],
+                        dtype=np.int64)
+        lift = np.arange(z)
+        rows = (base[:, :1] * z + lift).ravel()
+        cols = (base[:, 1:2] * z + (lift + base[:, 2:]) % z).ravel()
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order]
+
     @property
     def coderate(self) -> float:
         return self.k / self.n
@@ -279,19 +376,14 @@ class LdpcCode5G:
     def pcm(self) -> ParityCheckMatrix:
         """Expanded parity-check matrix of the mother code."""
         if self._pcm is None:
-            z = self.z
-            col_adj = [[] for _ in range(self.n_full)]
-            row_adj = [[] for _ in range(self.m_full)]
-            for (r, c), s in self._entries.items():
-                for i in range(z):
-                    row = r * z + i
-                    col = c * z + (i + s) % z
-                    col_adj[col].append(row)
-                    row_adj[row].append(col)
+            rows, cols = self._lifted_edges()
+            by_col = np.lexsort((rows, cols))
+            row_ends = np.cumsum(np.bincount(rows, minlength=self.m_full))
+            col_ends = np.cumsum(np.bincount(cols, minlength=self.n_full))
             self._pcm = ParityCheckMatrix(
                 n=self.n_full, m=self.m_full,
-                col_adj=[sorted(a) for a in col_adj],
-                row_adj=[sorted(a) for a in row_adj],
+                col_adj=np.split(rows[by_col], col_ends[:-1]),
+                row_adj=np.split(cols, row_ends[:-1]),
             )
         return self._pcm
 
@@ -359,7 +451,7 @@ def ldpc5g_decode(
     scale: float = 0.75,
 ) -> np.ndarray:
     """BP-decode rate-matched LLRs and return the [batch, k] info bits."""
-    mother = code.derate_match(llr)
-    _, hard = bp_decode(mother, code.pcm, num_iter=num_iter, variant=variant,
-                        scale=scale)
+    mother = code.derate_match(llr)[:, code._decode_cols]
+    _, hard = _bp_tiled(mother, code._graph, num_iter, variant, scale,
+                        early_stop=True)
     return hard[:, : code.k]

@@ -32,6 +32,7 @@ CSV_COLUMNS = ("ebno_db", "bits", "bit_errors", "ber", "blocks",
 
 DEFAULT_TARGET_BLOCK_ERRORS = 100
 DEFAULT_MAX_BATCHES = 1000
+DEFAULT_BP_ITER = 20
 
 
 class ConfigError(ValueError):
@@ -79,6 +80,12 @@ class SimConfig:
             n = _get(code, "code.n", required=(family != "conv"))
             if family != "conv" and (not isinstance(n, int) or n <= k):
                 raise ConfigError("code.n", "must be an integer > k")
+        if family == "ldpc5g":
+            num_iter = code.get("decoder", {}).get("num_iter", DEFAULT_BP_ITER)
+            if (isinstance(num_iter, bool) or not isinstance(num_iter, int)
+                    or num_iter < 1):
+                raise ConfigError("code.decoder.num_iter",
+                                  f"must be an integer >= 1, got {num_iter!r}")
 
         modulation = dict(_get(raw, "modulation", {"kind": "qam", "bits_per_symbol": 2}))
         kind = modulation.get("kind", "qam")
@@ -191,7 +198,7 @@ class Pipeline:
             if variant not in BP_VARIANTS:
                 raise ConfigError("code.decoder.variant", f"unknown variant {variant!r}")
             self.bp_variant = variant
-            self.bp_iter = dec.get("num_iter", 20)
+            self.bp_iter = dec.get("num_iter", DEFAULT_BP_ITER)
             self.payload_bits = code["k"]
             self.coded_bits = code["n"]
             self.coderate = code["k"] / code["n"]

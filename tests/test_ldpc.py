@@ -3,11 +3,12 @@ import pytest
 
 from linksim.alist import ParityCheckMatrix
 from linksim.channel import awgn
-from linksim.core import RngStream, binary_source, ebnodb2no
-from linksim.ldpc import (LIFTING_SIZES, LdpcCode5G, bp_decode,
-                          exit_mutual_information, ldpc5g_decode,
+from linksim.core import LLR_MAX, RngStream, binary_source, ebnodb2no, hard_decide
+from linksim.ldpc import (LIFTING_SIZES, LdpcCode5G, _edge_graph, _EdgeGraph,
+                          bp_decode, exit_mutual_information, ldpc5g_decode,
                           ldpc5g_encode)
 from linksim.mapping import Constellation, demap_app, map_bits
+from linksim.sweep import SimConfig, format_csv, run_sweep
 
 HAMMING_H = np.array([
     [1, 1, 0, 1, 1, 0, 0],
@@ -30,6 +31,82 @@ def ml_decode(llr, codebook):
     # Codeword metric: sum of LLRs at its one-positions (L = ln p1/p0).
     metrics = llr @ codebook.T.astype(np.float64)
     return codebook[np.argmax(metrics, axis=1)]
+
+
+def seed_bp_decode(llr, pcm, num_iter=20, variant="sum-product", scale=0.75,
+                   early_stop=True):
+    """Frozen copy of the original untiled decoder: the equivalence oracle."""
+    var_idx = []
+    chk_starts = [0]
+    for variables in pcm.row_adj:
+        var_idx.extend(int(v) for v in variables)
+        chk_starts.append(len(var_idx))
+    starts = np.asarray(chk_starts, dtype=np.int64)
+    g_var_idx = np.asarray(var_idx, dtype=np.int64)
+    g_chk_starts = starts[:-1]
+    g_chk_id = np.repeat(np.arange(pcm.m), np.diff(starts))
+    g_var_order = np.argsort(g_var_idx, kind="stable")
+    sorted_vars = g_var_idx[g_var_order]
+    g_var_starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(sorted_vars)) + 1])
+    g_var_ids = sorted_vars[g_var_starts]
+
+    def phi(x):
+        x = np.clip(x, 1e-12, LLR_MAX)
+        return -np.log(np.tanh(x / 2.0))
+
+    llr = np.atleast_2d(np.asarray(llr))
+    batch = llr.shape[0]
+    dtype = llr.dtype if llr.dtype in (np.float32, np.float64) else np.float64
+    channel = -llr.astype(dtype)
+    total = channel.copy()
+    c2v = np.zeros((batch, len(g_var_idx)), dtype=dtype)
+    alpha = scale if variant == "scaled-min-sum" else 1.0
+    final = total.copy()
+    active = np.arange(batch)
+    for _ in range(num_iter):
+        v2c = total[:, g_var_idx] - c2v
+        signs = np.signbit(v2c)
+        par = np.bitwise_xor.reduceat(signs, g_chk_starts, axis=-1)
+        sign_excl = np.where(par[:, g_chk_id] ^ signs, -1.0, 1.0)
+        mag = np.abs(v2c)
+        if variant == "sum-product":
+            pmag = phi(mag)
+            psum = np.add.reduceat(pmag, g_chk_starts, axis=-1)
+            mag_excl = phi(np.clip(psum[:, g_chk_id] - pmag, 1e-12, None))
+            c2v = sign_excl * np.clip(mag_excl, 0.0, 30.0)
+        else:
+            min1 = np.minimum.reduceat(mag, g_chk_starts, axis=-1)
+            at_min = mag == min1[..., g_chk_id]
+            counts = np.add.reduceat(at_min.astype(np.int64), g_chk_starts,
+                                     axis=-1)
+            masked = np.where(at_min, np.inf, mag)
+            min2 = np.minimum.reduceat(masked, g_chk_starts, axis=-1)
+            unique_min = (counts == 1)[:, g_chk_id]
+            excl = np.where(at_min & unique_min, min2[:, g_chk_id],
+                            min1[:, g_chk_id])
+            c2v = alpha * sign_excl * excl
+        total = channel.copy()
+        sums = np.add.reduceat(c2v[:, g_var_order], g_var_starts, axis=-1)
+        total[:, g_var_ids] += sums
+        total = np.clip(total, -LLR_MAX, LLR_MAX)
+        if early_stop:
+            hard_now = np.signbit(total)[:, g_var_idx]
+            syn = np.bitwise_xor.reduceat(hard_now, g_chk_starts, axis=-1)
+            ok = ~np.any(syn, axis=1)
+            if np.any(ok):
+                final[active[ok]] = total[ok]
+                keep = ~ok
+                active = active[keep]
+                if active.size == 0:
+                    break
+                channel = channel[keep]
+                total = total[keep]
+                c2v = c2v[keep]
+    if active.size:
+        final[active] = total
+    llr_out = -final
+    return llr_out, hard_decide(llr_out)
 
 
 def bpsk_llr(bits, ebno_db, rng):
@@ -234,3 +311,117 @@ class TestLdpcCode5G:
         assert mother.shape[1] == code.pcm.n
         recovered = mother[:, code.transmit_idx]
         assert np.array_equal(recovered, llr)
+
+
+def qam16_llr(code, batch, ebno_db, seed):
+    """Info bits and 16-QAM APP LLRs of ``code`` over AWGN."""
+    const = Constellation("qam", 4)
+    rng = RngStream(seed, 0)
+    bits = binary_source([batch, code.k], rng.child(0))
+    x = map_bits(ldpc5g_encode(bits, code), const)
+    no = ebnodb2no(ebno_db, 4, code.coderate)
+    return bits, demap_app(awgn(x, no, rng.child(1)), no, const)
+
+
+class TestTiledPrunedDecoder:
+    """The row-tiled decoder on the pruned graph against the seed decoder."""
+
+    @pytest.fixture(scope="class")
+    def mother_corpus(self):
+        # Noisy mother-code LLRs near the decoding threshold, so rows stop
+        # early at many different iterations.
+        code = LdpcCode5G(100, 300)
+        rng = RngStream(2024, 0)
+        full = code.encode_full(binary_source([1024, 100], rng.child(0)))
+        noise = rng.child(1).generator().standard_normal(full.shape)
+        return code.pcm, (2.0 * full - 1.0) * 2.0 + 2.0 * noise
+
+    @pytest.mark.parametrize("variant", ["sum-product", "min-sum",
+                                         "scaled-min-sum"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_tiles_bit_identical_to_seed(self, mother_corpus, variant, dtype,
+                                         early_stop):
+        pcm, llr = mother_corpus
+        tile = _edge_graph(pcm).tile_rows
+        assert 1 < tile < 1024
+        for batch in (1, tile - 1, tile + 1, 1024):
+            rows = llr[:batch].astype(dtype)
+            out, hard = bp_decode(rows, pcm, num_iter=5, variant=variant,
+                                  early_stop=early_stop)
+            ref_out, ref_hard = seed_bp_decode(rows, pcm, num_iter=5,
+                                               variant=variant,
+                                               early_stop=early_stop)
+            assert out.dtype == ref_out.dtype
+            assert np.array_equal(out, ref_out), batch
+            assert np.array_equal(hard, ref_hard), batch
+
+    @pytest.mark.parametrize("k,n", [(500, 1000), (100, 300), (100, 600)])
+    @pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+    def test_pruned_info_bits_match_seed_on_mother(self, k, n, variant):
+        # (500,1000) is base graph 1, (100,300) base graph 2; (100,600)
+        # exceeds the circular buffer, so it repeats bits and nothing is
+        # pruned.
+        code = LdpcCode5G(k, n)
+        for ebno_db in (1.5, 4.0):
+            _, llr = qam16_llr(code, 64, ebno_db, seed=k + n)
+            dec = ldpc5g_decode(llr, code, num_iter=20, variant=variant)
+            _, ref = seed_bp_decode(code.derate_match(llr), code.pcm,
+                                    num_iter=20, variant=variant)
+            assert np.array_equal(dec, ref[:, :k]), ebno_db
+
+    def test_repetition_prunes_nothing(self):
+        code = LdpcCode5G(100, 600)
+        assert code._graph.num_edges == code.pcm.num_edges
+
+    @pytest.mark.parametrize("k,n", [(500, 1000), (100, 300), (512, 1024),
+                                     (40, 200), (100, 600)])
+    def test_eager_graph_is_mother_graph_restricted(self, k, n):
+        code = LdpcCode5G(k, n)
+        pcm = code.pcm
+        sent = np.isin(np.arange(pcm.n), code.transmit_idx)
+        pruned_var = np.array([v >= code.k_full and not sent[v]
+                               and len(pcm.col_adj[v]) == 1
+                               for v in range(pcm.n)])
+        pruned_chk = np.zeros(pcm.m, dtype=bool)
+        for v in np.flatnonzero(pruned_var):
+            pruned_chk[pcm.col_adj[v]] = True
+        kept_vars = np.flatnonzero(~pruned_var)
+
+        mother = _EdgeGraph.from_pcm(pcm)
+        mother_chk = np.repeat(np.arange(pcm.m), mother.chk_deg)
+        kept = ~pruned_chk[mother_chk]
+        g = code._graph
+        assert np.array_equal(code._decode_cols, kept_vars)
+        assert (g.n, g.m) == (len(kept_vars), int(np.sum(~pruned_chk)))
+        assert np.array_equal(kept_vars[g.var_idx], mother.var_idx[kept])
+        kept_chk = np.flatnonzero(~pruned_chk)
+        assert np.array_equal(g.chk_deg, mother.chk_deg[kept_chk])
+        assert np.array_equal(g.chk_starts, np.cumsum(g.chk_deg) - g.chk_deg)
+
+    def test_decoding_sets_no_attribute(self):
+        code = LdpcCode5G(100, 300)
+        _, llr = qam16_llr(code, 16, 2.0, seed=5)
+        before = {id(obj): dict(vars(obj)) for obj in (code, code._graph)}
+        ldpc5g_decode(llr, code)
+        for obj in (code, code._graph):
+            after = vars(obj)
+            assert after.keys() == before[id(obj)].keys()
+            assert all(after[key] is value
+                       for key, value in before[id(obj)].items())
+
+    def test_sweep_csv_same_at_one_and_two_workers(self):
+        cfg = SimConfig.from_dict({
+            "code": {"family": "ldpc5g", "k": 100, "n": 300,
+                     "decoder": {"num_iter": 10}},
+            "modulation": {"kind": "qam", "bits_per_symbol": 4},
+            "channel": {"kind": "awgn"},
+            "sweep": {"ebno_db": [0.0, 2.0, 4.0], "batch_size": 32,
+                      "target_block_errors": 20, "max_batches_per_point": 4},
+            "seed": 3,
+        })
+        strip = lambda text: [",".join(ln.split(",")[:-1])
+                              for ln in text.splitlines()]
+        one, two = (strip(format_csv(run_sweep(cfg, num_workers=w)))
+                    for w in (1, 2))
+        assert one == two

@@ -237,6 +237,15 @@ class TestCli:
                               for ln in text.splitlines()]
         assert strip(ref) == strip(out)
 
+    @pytest.mark.parametrize("num_iter", [0, -3, "abc", 2.5, True])
+    def test_run_rejects_bad_bp_iterations(self, tmp_path, capsys, num_iter):
+        cfg = base_config(code={"family": "ldpc5g", "k": 100, "n": 300,
+                                "decoder": {"num_iter": num_iter}})
+        cfg["modulation"]["bits_per_symbol"] = 4
+        path = self._write_config(tmp_path, cfg)
+        assert main(["run", "--config", path]) == 2
+        assert "code.decoder.num_iter" in capsys.readouterr().err
+
     def test_env_workers_invalid(self, tmp_path, monkeypatch, capsys):
         path = self._write_config(tmp_path, base_config())
         monkeypatch.setenv("LINKSIM_WORKERS", "zero")
