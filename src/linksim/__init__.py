@@ -1,6 +1,6 @@
 """linksim: batch-parallel link-level physical-layer simulations.
 
-Pure numpy/scipy building blocks — bit sources, QAM/PSK mapping, LDPC,
+Pure numpy building blocks — bit sources, QAM/PSK mapping, LDPC,
 polar and convolutional codes, interleaving, fading channels, OFDM and
 MIMO processing — plus a deterministic Monte Carlo sweep engine with a
 small CLI.  Every block operates on arrays whose leading axis is the

@@ -4,6 +4,25 @@ Bit grouping is big-endian: the first bit of each group is the most
 significant bit of the point label.  For QAM, even label-bit indices drive
 the in-phase axis and odd indices the quadrature axis, with per-axis Gray
 labeling and the all-zero label on the most positive level of each axis.
+
+Demapping works on factors of the likelihood that a :class:`Constellation`
+builds once.  A factor is the part of ``y`` it reads, its levels, the
+label-bit positions it carries and, per bit, the indices of the levels
+where that bit is 1 and where it is 0.  When every point is
+``I_level[I_label] + 1j * Q_level[Q_label]`` exactly, as for square Gray
+QAM, there are two factors: the real part of ``y`` with the sqrt(M) I levels
+on the even bits, and the imaginary part with the Q levels on the odd bits.
+The squared distance and the bit prior both split into an I and a Q term,
+so the other axis cancels from every LLR, exactly for APP and max-log, with
+or without priors.  Any other point set (PSK, custom points) is one factor:
+the complex ``y``, all 2**m points and all bits.
+
+Per factor, the demapper computes ``-|y_f - level|**2 / no`` plus the
+factor's share of the prior, gathers the per-bit subsets into a
+``[2, bits, levels/2, symbols]`` tensor and reduces it with a max-shifted
+log-sum-exp (APP) or a max (max-log).  It walks the symbols in tiles sized
+so that tensor takes about ``_TILE_BYTES``, which bounds the peak temporary
+for any batch size and constellation order.
 """
 
 from __future__ import annotations
@@ -11,6 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Size of the per-bit subset tensor of one demapper tile (float64).
+_TILE_BYTES = 1 << 20
 
 
 def _gray_decode(g: np.ndarray) -> np.ndarray:
@@ -30,15 +52,18 @@ def _labels_to_bits(num_bits: int) -> np.ndarray:
     return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
+def _axis_labels(num_bits: int):
+    """I and Q labels of every point label: even and odd bits, MSB first."""
+    bits = _labels_to_bits(num_bits)
+    weights = 1 << np.arange(num_bits // 2 - 1, -1, -1)
+    return bits[:, 0::2] @ weights, bits[:, 1::2] @ weights
+
+
 def _qam_points(num_bits: int) -> np.ndarray:
     if num_bits % 2 != 0:
         raise ValueError("qam requires an even number of bits per symbol")
     na = num_bits // 2
-    bits = _labels_to_bits(num_bits)
-    # Even bit positions -> I label, odd -> Q label (each MSB first).
-    weights = 1 << np.arange(na - 1, -1, -1)
-    lab_i = bits[:, 0::2] @ weights
-    lab_q = bits[:, 1::2] @ weights
+    lab_i, lab_q = _axis_labels(num_bits)
     # Per-axis Gray labels; level index 0 is the most positive amplitude.
     idx_i = _gray_decode(lab_i.astype(np.int64))
     idx_q = _gray_decode(lab_q.astype(np.int64))
@@ -53,6 +78,48 @@ def _psk_points(num_bits: int) -> np.ndarray:
     labels = np.arange(order)
     idx = _gray_decode(labels.astype(np.int64))
     return np.exp(2j * np.pi * idx / order)
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """One independent term of the demapping likelihood."""
+
+    part: object           # the part of y it reads: np.real, np.imag or np.asarray
+    levels: np.ndarray     # [L] level values
+    positions: slice       # the b label-bit positions it carries, L == 2**b
+    bits: np.ndarray       # [L, b] float64 bit table of the levels
+    subsets: np.ndarray    # [2, b, L/2] level indices where a bit is 1 / 0
+
+    @classmethod
+    def build(cls, part, levels, positions, bits):
+        one = np.stack([np.flatnonzero(col) for col in bits.T])
+        zero = np.stack([np.flatnonzero(col == 0) for col in bits.T])
+        levels = np.array(levels)
+        bits = bits.astype(np.float64)
+        subsets = np.stack([one, zero])
+        for a in (levels, bits, subsets):
+            a.setflags(write=False)
+        return cls(part, levels, positions, bits, subsets)
+
+
+def _factors(points: np.ndarray, num_bits: int) -> tuple:
+    """Split the points into independent I and Q axes when they separate."""
+    if num_bits % 2 == 0:
+        na = num_bits // 2
+        lab_i, lab_q = _axis_labels(num_bits)
+        lev_i = np.zeros(1 << na)
+        lev_q = np.zeros(1 << na)
+        lev_i[lab_i] = points.real
+        lev_q[lab_q] = points.imag
+        if (np.array_equal(lev_i[lab_i], points.real)
+                and np.array_equal(lev_q[lab_q], points.imag)):
+            axis_bits = _labels_to_bits(na)
+            return (
+                _Factor.build(np.real, lev_i, slice(0, None, 2), axis_bits),
+                _Factor.build(np.imag, lev_q, slice(1, None, 2), axis_bits),
+            )
+    return (_Factor.build(np.asarray, points, slice(None),
+                          _labels_to_bits(num_bits)),)
 
 
 @dataclass
@@ -85,8 +152,8 @@ class Constellation:
         if self.normalized:
             energy = np.mean(np.abs(self.points) ** 2)
             self.points = self.points / np.sqrt(energy)
-        # [2**m, m] bit table used by the demappers.
         self._bits = _labels_to_bits(m)
+        self._factors = _factors(self.points, m)
 
     @property
     def bit_table(self) -> np.ndarray:
@@ -107,40 +174,61 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return constellation.points[labels]
 
 
+def _tile_symbols(constellation: Constellation) -> int:
+    """Symbols per demapper tile: the subset tensor stays near _TILE_BYTES."""
+    widest = max(f.bits.size for f in constellation._factors)
+    return max(1, _TILE_BYTES // (8 * widest))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln(sum(exp(a))) over axis 2, shifted by the maximum; overwrites a."""
+    peak = np.max(a, axis=2)
+    peak[~np.isfinite(peak)] = 0.0
+    np.subtract(a, peak[:, :, None], out=a)
+    np.exp(a, out=a)
+    return np.log(np.sum(a, axis=2)) + peak
+
+
 def _demap(y, no, constellation, prior, mode):
     y = np.asarray(y)
     no = np.asarray(no, dtype=np.float64)
-    if np.any(no <= 0):
+    if not np.all(no > 0):  # also rejects NaN
         raise ValueError("demap: noise variance must be > 0")
     m = constellation.num_bits_per_symbol
-    points = constellation.points
-    bits = constellation._bits.astype(np.float64)  # [2**m, m]
-
-    # Squared-distance log metrics, one per hypothesis point.
-    d2 = np.abs(y[..., None] - points) ** 2
-    logits = -d2 / np.broadcast_to(no, y.shape)[..., None]
-
+    out_shape = (*y.shape[:-1], -1)
+    if no.ndim:
+        no = np.broadcast_to(no, y.shape).reshape(-1)
+    y = y.reshape(-1)
     if prior is not None:
         prior = np.asarray(prior, dtype=np.float64)
-        # Accept a flat prior of shape [m] or one prior per bit position,
-        # broadcastable against the output shape [..., num_symbols, m].
-        if prior.shape == (m,):
-            logits = logits + bits @ prior
-        else:
-            prior = prior.reshape(*y.shape, m)
-            logits = logits + np.einsum("...m,pm->...p", prior, bits)
+        # A flat prior of shape [m], or one prior per bit position with
+        # as many entries as the output.
+        if prior.shape != (m,):
+            prior = prior.reshape(y.size, m)
+    tile = _tile_symbols(constellation)
+    reduce = _logsumexp if mode == "app" else (lambda a: np.max(a, axis=2))
 
-    mask1 = constellation._bits.T.astype(bool)  # [m, 2**m]
-    l1 = np.where(mask1[(None,) * y.ndim], logits[..., None, :], -np.inf)
-    l0 = np.where(~mask1[(None,) * y.ndim], logits[..., None, :], -np.inf)
-    if mode == "app":
-        from scipy.special import logsumexp
-
-        llr = logsumexp(l1, axis=-1) - logsumexp(l0, axis=-1)
-    else:
-        llr = np.max(l1, axis=-1) - np.max(l0, axis=-1)
+    llr = np.empty((y.size, m))
+    for f in constellation._factors:
+        yf = f.part(y)
+        levels = f.levels[:, None]
+        flat_prior = (f.bits @ prior[f.positions]
+                      if prior is not None and prior.ndim == 1 else None)
+        for start in range(0, y.size, tile):
+            t = slice(start, start + tile)
+            # [levels, tile] squared-distance log metrics.
+            logits = np.abs(yf[t] - levels) ** 2
+            np.negative(logits, out=logits)
+            logits /= no[t] if no.ndim else no
+            if flat_prior is not None:
+                logits += flat_prior[:, None]
+            elif prior is not None:
+                logits += np.einsum("tb,lb->lt", prior[t, f.positions], f.bits)
+            # [2, bits, levels/2, tile]: the 1- and 0-subsets of each bit.
+            r = reduce(logits[f.subsets])
+            llr[t, f.positions] = (r[0] - r[1]).T
     # Flatten the per-symbol bit axis back into a bit stream.
-    return llr.reshape(*y.shape[:-1], -1)
+    return llr.reshape(out_shape)
 
 
 def demap_app(y, no, constellation: Constellation, prior=None) -> np.ndarray:

@@ -33,6 +33,8 @@ CSV_COLUMNS = ("ebno_db", "bits", "bit_errors", "ber", "blocks",
 DEFAULT_TARGET_BLOCK_ERRORS = 100
 DEFAULT_MAX_BATCHES = 1000
 DEFAULT_BP_ITER = 20
+# 1024-QAM, the largest modulation order of 5G NR.
+MAX_BITS_PER_SYMBOL = 10
 
 
 class ConfigError(ValueError):
@@ -41,6 +43,18 @@ class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"{fieldname}: {message}")
         self.field = fieldname
+
+
+def _check_int(value, fieldname: str, low=None, high=None):
+    """Return ``value`` if it is an int (not a bool) within [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)
+            or (high is not None and value > high)):
+        bound = (f" in {low}..{high}" if high is not None
+                 else f" >= {low}" if low is not None else "")
+        raise ConfigError(fieldname,
+                          f"must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _get(d: dict, fieldname: str, default=None, required: bool = False):
@@ -81,19 +95,16 @@ class SimConfig:
             if family != "conv" and (not isinstance(n, int) or n <= k):
                 raise ConfigError("code.n", "must be an integer > k")
         if family == "ldpc5g":
-            num_iter = code.get("decoder", {}).get("num_iter", DEFAULT_BP_ITER)
-            if (isinstance(num_iter, bool) or not isinstance(num_iter, int)
-                    or num_iter < 1):
-                raise ConfigError("code.decoder.num_iter",
-                                  f"must be an integer >= 1, got {num_iter!r}")
+            _check_int(code.get("decoder", {}).get("num_iter", DEFAULT_BP_ITER),
+                       "code.decoder.num_iter", low=1)
 
         modulation = dict(_get(raw, "modulation", {"kind": "qam", "bits_per_symbol": 2}))
         kind = modulation.get("kind", "qam")
         if kind not in ("qam", "psk"):
             raise ConfigError("modulation.kind", f"unknown kind {kind!r}")
-        m = modulation.get("bits_per_symbol")
-        if not isinstance(m, int) or m < 1:
-            raise ConfigError("modulation.bits_per_symbol", "must be a positive integer")
+        m = _check_int(modulation.get("bits_per_symbol"),
+                       "modulation.bits_per_symbol", low=1,
+                       high=MAX_BITS_PER_SYMBOL)
         if kind == "qam" and m % 2:
             raise ConfigError("modulation.bits_per_symbol", "qam needs an even value")
 
@@ -131,11 +142,12 @@ class SimConfig:
             mimo=mimo_cfg,
             snr_points=[float(p) for p in points],
             batch_size=batch_size,
-            target_block_errors=sweep.get("target_block_errors",
-                                          DEFAULT_TARGET_BLOCK_ERRORS),
+            target_block_errors=_check_int(
+                sweep.get("target_block_errors", DEFAULT_TARGET_BLOCK_ERRORS),
+                "sweep.target_block_errors", low=1),
             max_batches_per_point=sweep.get("max_batches_per_point",
                                             DEFAULT_MAX_BATCHES),
-            seed=raw.get("seed", 0),
+            seed=_check_int(raw.get("seed", 0), "seed"),
             precision=precision,
         )
         # Constructing the pipeline performs the remaining cross checks.

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from linksim.core import RngStream, binary_source
-from linksim.mapping import (Constellation, demap_app, demap_maxlog, map_bits)
+from linksim.mapping import (Constellation, _tile_symbols, demap_app,
+                             demap_maxlog, map_bits)
 
 
 def brute_force_llr(y, no, constellation, prior=None):
@@ -24,6 +28,43 @@ def brute_force_llr(y, no, constellation, prior=None):
         den = metric[bits[:, i] == 0].sum()
         out[i] = np.log(num) - np.log(den)
     return out
+
+
+def reference_demap(y, no, constellation, prior, mode):
+    """The dense demapper the factor form replaced, kept as its oracle.
+
+    Builds the [..., m, 2**m] logits masked with -inf per bit and reduces
+    them with scipy's logsumexp (APP) or a max (max-log).
+    """
+    y = np.asarray(y)
+    no = np.asarray(no, dtype=np.float64)
+    m = constellation.num_bits_per_symbol
+    points = constellation.points
+    bits = constellation.bit_table.astype(np.float64)
+    d2 = np.abs(y[..., None] - points) ** 2
+    logits = -d2 / np.broadcast_to(no, y.shape)[..., None]
+    if prior is not None:
+        prior = np.asarray(prior, dtype=np.float64)
+        if prior.shape == (m,):
+            logits = logits + bits @ prior
+        else:
+            prior = prior.reshape(*y.shape, m)
+            logits = logits + np.einsum("...m,pm->...p", prior, bits)
+    mask1 = constellation.bit_table.T.astype(bool)
+    l1 = np.where(mask1[(None,) * y.ndim], logits[..., None, :], -np.inf)
+    l0 = np.where(~mask1[(None,) * y.ndim], logits[..., None, :], -np.inf)
+    if mode == "app":
+        llr = logsumexp(l1, axis=-1) - logsumexp(l0, axis=-1)
+    else:
+        llr = np.max(l1, axis=-1) - np.max(l0, axis=-1)
+    return llr.reshape(*y.shape[:-1], -1)
+
+
+def permuted_qam(m, seed):
+    """A "qam" constellation whose labels are shuffled: not separable."""
+    points = Constellation("qam", m).points
+    perm = np.random.default_rng(seed).permutation(points.size)
+    return Constellation("qam", m, points=points[perm])
 
 
 class TestConstellation:
@@ -63,6 +104,25 @@ class TestConstellation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Constellation("apsk", 4)
+
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_square_qam_splits_into_two_axes(self, m):
+        c = Constellation("qam", m)
+        f_i, f_q = c._factors
+        assert f_i.levels.size == f_q.levels.size == 1 << (m // 2)
+        assert np.array_equal(np.sort(f_i.levels), np.unique(c.points.real))
+        assert np.array_equal(np.sort(f_q.levels), np.unique(c.points.imag))
+
+    def test_separability_decided_from_points(self):
+        # Equal points under the "qam" kind split; shuffled labels and a
+        # rotated grid do not, whatever the kind says.
+        qam = Constellation("qam", 4)
+        assert len(Constellation("qam", 4, points=qam.points)._factors) == 2
+        assert len(permuted_qam(4, 0)._factors) == 1
+        rotated = Constellation("qam", 4, points=qam.points * np.exp(0.3j))
+        assert len(rotated._factors) == 1
+        assert len(Constellation("psk", 2)._factors) == 1
 
 
 class TestMapBits:
@@ -111,6 +171,17 @@ class TestDemapApp:
             ref = brute_force_llr(y, no, c, prior=prior)
             assert np.allclose(llr[0], ref, atol=1e-9)
 
+    def test_permuted_custom_qam_matches_brute_force(self):
+        c = permuted_qam(4, 5)
+        g = RngStream(78, 0).generator()
+        for _ in range(50):
+            y = g.normal() + 1j * g.normal()
+            no = g.uniform(0.1, 1.0)
+            prior = g.normal(size=4)
+            llr = demap_app(np.array([[y]]), no, c, prior=prior)
+            ref = brute_force_llr(y, no, c, prior=prior)
+            assert np.allclose(llr[0], ref, atol=1e-9)
+
     def test_bpsk_closed_form(self):
         # Real BPSK within the PSK family: L = -4 Re(y) / no for 0 -> +1.
         c = Constellation("psk", 1)
@@ -148,6 +219,29 @@ class TestDemapApp:
         with pytest.raises(ValueError):
             demap_app(np.zeros((1, 1), dtype=complex), 0.0, c)
 
+    @pytest.mark.parametrize("no", [np.nan, np.array([[0.5, np.nan]])])
+    def test_nan_noise_rejected(self, no):
+        c = Constellation("qam", 2)
+        with pytest.raises(ValueError, match="noise variance"):
+            demap_app(np.zeros((1, 2), dtype=complex), no, c)
+
+    def test_256qam_memory_is_bounded(self):
+        # 1024x250 symbols: the dense form needs over 10 GB.  Here the peak
+        # is the float64 output plus a few tiles of temporaries.
+        c = Constellation("qam", 8)
+        g = RngStream(9, 0).generator()
+        y = (g.standard_normal((1024, 250))
+             + 1j * g.standard_normal((1024, 250))).astype(np.complex64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            llr = demap_app(y, 0.05, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert llr.shape == (1024, 2000)
+        assert peak < llr.nbytes + 8 * 2**20
+
     def test_per_symbol_noise_broadcast(self):
         c = Constellation("qam", 2)
         y = np.array([[0.3 + 0.1j, 0.3 + 0.1j]])
@@ -180,3 +274,51 @@ class TestDemapMaxlog:
         ml = demap_maxlog(y, no, c)
         agreement = np.mean(np.sign(app) == np.sign(ml))
         assert agreement > 0.99
+
+
+EQUIVALENCE_CONSTELLATIONS = [("qam", 2), ("qam", 4), ("qam", 6), ("qam", 8),
+                              ("psk", 1), ("psk", 2), ("psk", 3),
+                              ("custom", 4)]
+
+
+class TestDemapEquivalence:
+    """The factor-tiled demapper against the dense reference demapper."""
+
+    @pytest.mark.parametrize("kind,m", EQUIVALENCE_CONSTELLATIONS)
+    @pytest.mark.parametrize("mode", ["app", "maxlog"])
+    @pytest.mark.parametrize("prior_kind", [None, "flat", "per-bit"])
+    @pytest.mark.parametrize("per_symbol_no", [False, True])
+    def test_matches_reference(self, kind, m, mode, prior_kind,
+                               per_symbol_no):
+        c = permuted_qam(m, 1) if kind == "custom" else Constellation(kind, m)
+        demap = demap_app if mode == "app" else demap_maxlog
+        tile = _tile_symbols(c)
+        g = RngStream(1000 + m, 0).generator()
+        # Noise variances down to 1e-3 put the logits near -1e4, where
+        # exp underflows without the max shift.
+        for n, dtype, scalar_no in ((tile - 1, np.complex64, 0.2),
+                                    (tile, np.complex128, 2.0),
+                                    (tile + 1, np.complex64, 1e-3),
+                                    (tile + 1, np.complex128, 0.05)):
+            y = (1.3 * (g.standard_normal((1, n))
+                        + 1j * g.standard_normal((1, n)))).astype(dtype)
+            no = (np.exp(g.uniform(np.log(1e-3), np.log(2.0), size=(1, n)))
+                  if per_symbol_no else scalar_no)
+            prior = {None: None, "flat": g.normal(size=m),
+                     "per-bit": g.normal(size=(1, n * m))}[prior_kind]
+            llr = demap(y, no, c, prior=prior).reshape(n, m)
+            # Symbols are demapped independently, so the dense reference
+            # runs on the symbols around both ends and the tile boundary
+            # plus a random sample: at 256-QAM it costs ~100x more.
+            sel = np.unique(np.r_[0:8, tile - 8:min(n, tile + 8), n - 8:n,
+                                  g.choice(n, 64)])
+            no_sel = no[:, sel] if per_symbol_no else no
+            prior_sel = (prior.reshape(n, m)[sel] if prior_kind == "per-bit"
+                         else prior)
+            ref = reference_demap(y[:, sel], no_sel, c, prior_sel,
+                                  mode).reshape(-1, m)
+            if mode == "maxlog" and len(c._factors) == 1:
+                assert np.array_equal(llr[sel], ref)
+            else:
+                np.testing.assert_allclose(llr[sel], ref, rtol=1e-12,
+                                           atol=1e-12)

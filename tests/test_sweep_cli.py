@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linksim
 from linksim.cli import main
 from linksim.sweep import (CSV_COLUMNS, ConfigError, SimConfig, format_csv,
                            read_csv, run_sweep, write_csv)
@@ -245,6 +248,57 @@ class TestCli:
         path = self._write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == 2
         assert "code.decoder.num_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fieldname,value", [
+        ("modulation.bits_per_symbol", 30),
+        ("modulation.bits_per_symbol", 12),
+        ("modulation.bits_per_symbol", 0),
+        ("modulation.bits_per_symbol", True),
+        ("modulation.bits_per_symbol", 2.0),
+        ("modulation.bits_per_symbol", "2"),
+        ("seed", "abc"),
+        ("seed", True),
+        ("seed", 1.5),
+        ("sweep.target_block_errors", "x"),
+        ("sweep.target_block_errors", True),
+        ("sweep.target_block_errors", 0),
+        ("sweep.target_block_errors", 2.5),
+    ])
+    def test_run_rejects_bad_integer_fields(self, tmp_path, capsys,
+                                            fieldname, value):
+        cfg = base_config()
+        *parents, key = fieldname.split(".")
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        path = self._write_config(tmp_path, cfg)
+        assert main(["run", "--config", path]) == 2
+        assert fieldname in capsys.readouterr().err
+
+    def test_largest_modulation_order_accepted(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["modulation"] = {"kind": "qam", "bits_per_symbol": 10}
+        path = self._write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 0
+
+    def test_app_sweep_does_not_import_scipy(self, tmp_path):
+        # scipy is a test dependency only: a sweep must run without it.
+        cfg = base_config()
+        cfg["code"] = {"family": "conv", "k": 100}
+        cfg["modulation"] = {"kind": "qam", "bits_per_symbol": 4,
+                             "demapper": "app"}
+        script = (
+            "import json, sys\n"
+            "from linksim.sweep import SimConfig, run_sweep\n"
+            f"run_sweep(SimConfig.from_dict(json.loads({json.dumps(cfg)!r})))\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(linksim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_env_workers_invalid(self, tmp_path, monkeypatch, capsys):
         path = self._write_config(tmp_path, base_config())
