@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__, feature_summary
-from .sweep import ConfigError, SimConfig, run_sweep, write_csv
+from .sweep import ConfigError, SimConfig, format_csv, run_sweep, write_csv
 
 ENV_WORKERS = "LINKSIM_WORKERS"
 
@@ -81,8 +81,6 @@ def _cmd_run(args) -> int:
     except Exception as exc:  # simulation failure, not a config problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    from .sweep import format_csv
-
     if args.out:
         try:
             write_csv(result, args.out)

@@ -90,6 +90,8 @@ class ResourceGrid:
     def __post_init__(self):
         if self.cp_length >= self.fft_size:
             raise ValueError("cp_length must be smaller than fft_size")
+        if not self.subcarrier_spacing > 0:
+            raise ValueError("subcarrier_spacing must be > 0")
         if self.guard_left + self.guard_right + int(self.dc_null) >= self.fft_size:
             raise ValueError("guards leave no usable subcarriers")
         if self.pilot_pattern is not None:
@@ -107,11 +109,9 @@ class ResourceGrid:
     def effective_bins(self) -> np.ndarray:
         """Natural-order DFT bins of the effective subcarriers, in the
         order used by the [symbol, effective subcarrier] grid."""
-        width = self.fft_size - self.guard_left - self.guard_right
         centered = np.arange(self.guard_left, self.fft_size - self.guard_right)
         if self.dc_null:
             centered = centered[centered != self.fft_size // 2]
-        assert len(centered) == self.num_effective_subcarriers, (len(centered), width)
         return (centered - self.fft_size // 2) % self.fft_size
 
     @property

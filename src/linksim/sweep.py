@@ -1,7 +1,13 @@
 """Monte Carlo BER/BLER sweep engine with early stopping.
 
 A declarative JSON config describes the pipeline (code, constellation,
-channel, optional OFDM/MIMO stages) and the Eb/N0 sweep.  Random streams
+channel, optional OFDM/MIMO stages) and the Eb/N0 sweep.  Each field is
+read once, where it is used, through a checked reader that applies the
+field's default, type and range or choice set and raises
+:class:`ConfigError` naming the field; a key that nothing reads is
+rejected.  :meth:`SimConfig.from_dict` reads the sweep-level fields and
+builds a :class:`Pipeline`, which reads the rest; ``CODECS`` maps each
+``code.family`` to the builder of its encoder and decoder.  Random streams
 are keyed by (seed, snr_index, batch_index) — never by worker id — so a
 sweep is bit-identical for any worker count.
 """
@@ -10,10 +16,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import difflib
 import io
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,11 +37,11 @@ from .polar import (CRC_POLYNOMIALS, crc_attach, polar5g_construct,
 CSV_COLUMNS = ("ebno_db", "bits", "bit_errors", "ber", "blocks",
                "block_errors", "bler", "batches", "stop_reason", "elapsed_s")
 
-DEFAULT_TARGET_BLOCK_ERRORS = 100
-DEFAULT_MAX_BATCHES = 1000
-DEFAULT_BP_ITER = 20
-# 1024-QAM, the largest modulation order of 5G NR.
-MAX_BITS_PER_SYMBOL = 10
+_REQUIRED = object()
+# Type of a field -> how an error names it, and its plural for list entries.
+_KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          bool: ("true or false", None), dict: ("a JSON object", None),
+          list: ("a list", None)}
 
 
 class ConfigError(ValueError):
@@ -45,33 +52,140 @@ class ConfigError(ValueError):
         self.field = fieldname
 
 
-def _check_int(value, fieldname: str, low=None, high=None):
-    """Return ``value`` if it is an int (not a bool) within [low, high]."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (low is not None and value < low)
-            or (high is not None and value > high)):
-        bound = (f" in {low}..{high}" if high is not None
-                 else f" >= {low}" if low is not None else "")
-        raise ConfigError(fieldname,
-                          f"must be an integer{bound}, got {value!r}")
-    return value
+def _is(value, kind) -> bool:
+    if kind is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _get(d: dict, fieldname: str, default=None, required: bool = False):
-    if required and fieldname.split(".")[-1] not in d:
-        raise ConfigError(fieldname, "missing required field")
-    return d.get(fieldname.split(".")[-1], default)
+class _Fields:
+    """Checked reads of one JSON object of a config, recording the keys read.
+
+    ``fields(key, default, kind, low, high, item)`` returns the value of
+    ``key``, or ``default`` when it is absent (no default: required).
+    ``kind`` is a type from ``_KINDS`` (``float`` is any finite number, and
+    a bool is no number) or a collection of allowed values.  With ``item``
+    the value is a non-empty list of ``item``-typed entries.  ``low`` and
+    ``high`` bound the number, or each entry.
+    Sections opened with :meth:`section` share one record, from which
+    :meth:`reject_unknown` names every key that no read asked for.
+    """
+
+    def __init__(self, d: dict, path: str = "", opened=None):
+        self.d, self.path, self.used = d, path, set()
+        self.opened = [] if opened is None else opened
+        self.opened.append(self)
+
+    def __call__(self, key, default=_REQUIRED, kind=int, low=None, high=None,
+                 item=None):
+        name = self.path + key
+        self.used.add(key)
+        if key not in self.d:
+            if default is _REQUIRED:
+                raise ConfigError(name, "missing required field")
+            return default
+        value = self.d[key]
+        if not isinstance(kind, type):
+            if value not in list(kind):
+                raise ConfigError(name, f"must be one of {list(kind)}, got {value!r}")
+            return value
+        entries = [value]
+        if item:  # a non-empty list of item-typed entries
+            entries = value if isinstance(value, list) and value else [None]
+        if not all(_is(v, item or kind) and (low is None or v >= low)
+                   and (high is None or v <= high) for v in entries):
+            bound = (f" in {low}..{high}" if None not in (low, high)
+                     else f" >= {low}" if low is not None
+                     else f" <= {high}" if high is not None else "")
+            what = f"a non-empty list of {_KINDS[item][1]}" if item else _KINDS[kind][0]
+            raise ConfigError(name, f"must be {what}{bound}, got {value!r}")
+        return value
+
+    def section(self, key, default=_REQUIRED):
+        """Open the JSON object ``key``; a ``None`` default stays ``None``."""
+        d = self(key, default, dict)
+        return None if d is None else _Fields(d, f"{self.path}{key}.", self.opened)
+
+    def reject_unknown(self):
+        for sec in self.opened:
+            for key in [key for key in sec.d if key not in sec.used]:
+                hint = difflib.get_close_matches(key, sec.used, n=1)
+                raise ConfigError(sec.path + key, "unknown field" + (
+                    f"; did you mean {hint[0]!r}?" if hint else ""))
+
+
+def _build(fieldname: str, make, *args, **kwargs):
+    """Construct a block; a ValueError or TypeError from it names ``fieldname``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(fieldname, str(exc)) from None
+
+
+# -- codecs: code section -> (payload_bits, coded_bits, encode, decode) ------
+# The library functions are looked up by module-global name at call time.
+
+def _uncoded(code):
+    k = code("k", low=1)
+    return k, k, lambda payload: payload, hard_decide
+
+
+def _ldpc5g(code):
+    k = code("k", low=1)
+    n = code("n", low=k + 1)
+    dec = code.section("decoder", {})
+    variant = dec("variant", "sum-product", BP_VARIANTS)
+    num_iter = dec("num_iter", 20, low=1)
+    ldpc = _build("code.k", LdpcCode5G, k, n)
+    return (k, n, lambda payload: ldpc5g_encode(payload, ldpc),
+            lambda llr: ldpc5g_decode(llr, ldpc, num_iter=num_iter, variant=variant))
+
+
+def _polar5g(code):
+    k = code("k", low=1)
+    n = code("n", low=k + 1)
+    dec = code.section("decoder", {})
+    crc = CRC_POLYNOMIALS.get(dec("crc", None, [None, *CRC_POLYNOMIALS]))
+    payload_bits = k - (crc.degree if crc else 0)
+    if payload_bits < 1:
+        raise ConfigError("code.k", "k must exceed the CRC degree")
+    polar = _build("code.n", polar5g_construct, k, n, crc=crc)
+
+    def encode(payload):
+        return polar_encode(crc_attach(payload, crc) if crc else payload, polar)
+
+    if dec("type", "scl", ("sc", "scl")) == "sc":
+        def decode(llr):
+            return polar_sc_decode(llr, polar)[:, :payload_bits]
+    else:
+        list_size = dec("list_size", 8, low=1)
+
+        def decode(llr):
+            return polar_scl_decode(llr, polar, list_size=list_size,
+                                    use_crc=crc is not None)[:, :payload_bits]
+    return payload_bits, n, encode, decode
+
+
+def _conv(code):
+    k = code("k", low=1)
+    conv = _build("code.generators", ConvCode,
+                  constraint_length=code("constraint_length", 3, low=2, high=9),
+                  generators=tuple(code("generators", [0o5, 0o7], list, item=int)))
+    return (k, conv.num_outputs * (k + conv.tail_bits),
+            lambda payload: conv_encode(payload, conv),
+            lambda llr: viterbi_decode(llr, conv))
+
+
+CODECS = {"none": _uncoded, "ldpc5g": _ldpc5g, "polar5g": _polar5g, "conv": _conv}
 
 
 @dataclass
 class SimConfig:
-    """Validated sweep configuration (see :func:`SimConfig.from_dict`)."""
+    """Sweep-level fields of a config (see :meth:`SimConfig.from_dict`);
+    ``fields`` reads the rest when a :class:`Pipeline` is built."""
 
-    code: dict
-    modulation: dict
-    channel: dict
-    ofdm: dict
-    mimo: dict
+    fields: _Fields = field(repr=False)
     snr_points: list
     batch_size: int
     target_block_errors: int
@@ -83,75 +197,22 @@ class SimConfig:
     def from_dict(cls, raw: dict) -> "SimConfig":
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        code = dict(_get(raw, "code", {"family": "none", "k": 100}))
-        family = _get(code, "code.family", required=True)
-        if family not in ("none", "ldpc5g", "polar5g", "conv"):
-            raise ConfigError("code.family", f"unknown family {family!r}")
-        k = _get(code, "code.k", required=True)
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("code.k", "must be a positive integer")
-        if family != "none":
-            n = _get(code, "code.n", required=(family != "conv"))
-            if family != "conv" and (not isinstance(n, int) or n <= k):
-                raise ConfigError("code.n", "must be an integer > k")
-        if family == "ldpc5g":
-            _check_int(code.get("decoder", {}).get("num_iter", DEFAULT_BP_ITER),
-                       "code.decoder.num_iter", low=1)
-
-        modulation = dict(_get(raw, "modulation", {"kind": "qam", "bits_per_symbol": 2}))
-        kind = modulation.get("kind", "qam")
-        if kind not in ("qam", "psk"):
-            raise ConfigError("modulation.kind", f"unknown kind {kind!r}")
-        m = _check_int(modulation.get("bits_per_symbol"),
-                       "modulation.bits_per_symbol", low=1,
-                       high=MAX_BITS_PER_SYMBOL)
-        if kind == "qam" and m % 2:
-            raise ConfigError("modulation.bits_per_symbol", "qam needs an even value")
-
-        chan = dict(_get(raw, "channel", {"kind": "awgn"}))
-        if chan.get("kind", "awgn") not in ("awgn", "flat", "tdl"):
-            raise ConfigError("channel.kind", f"unknown kind {chan.get('kind')!r}")
-
-        ofdm_cfg = dict(_get(raw, "ofdm", {"enabled": False}))
-        mimo_cfg = dict(_get(raw, "mimo", {"enabled": False}))
-        if chan["kind"] == "tdl" and not ofdm_cfg.get("enabled"):
-            raise ConfigError("channel.kind", "tdl channel requires ofdm.enabled")
-        if chan["kind"] == "flat" and not mimo_cfg.get("enabled"):
-            raise ConfigError("channel.kind", "flat channel requires mimo.enabled")
-
-        sweep = dict(_get(raw, "sweep", required=True))
-        points = _get(sweep, "sweep.ebno_db", required=True)
-        if (not isinstance(points, list) or not points
-                or any(not isinstance(p, (int, float)) for p in points)):
-            raise ConfigError("sweep.ebno_db", "must be a non-empty list of numbers")
+        fields = _Fields(raw)
+        sweep = fields.section("sweep")
+        points = sweep("ebno_db", kind=list, item=float)
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ConfigError("sweep.ebno_db", "must be strictly increasing")
-        batch_size = sweep.get("batch_size", 256)
-        if not isinstance(batch_size, int) or batch_size < 1:
-            raise ConfigError("sweep.batch_size", "must be a positive integer")
-
-        precision = raw.get("precision", "single")
-        if precision not in ("single", "double"):
-            raise ConfigError("precision", f"must be 'single' or 'double'")
-
         cfg = cls(
-            code=code,
-            modulation=modulation,
-            channel=chan,
-            ofdm=ofdm_cfg,
-            mimo=mimo_cfg,
+            fields=fields,
             snr_points=[float(p) for p in points],
-            batch_size=batch_size,
-            target_block_errors=_check_int(
-                sweep.get("target_block_errors", DEFAULT_TARGET_BLOCK_ERRORS),
-                "sweep.target_block_errors", low=1),
-            max_batches_per_point=sweep.get("max_batches_per_point",
-                                            DEFAULT_MAX_BATCHES),
-            seed=_check_int(raw.get("seed", 0), "seed"),
-            precision=precision,
+            batch_size=sweep("batch_size", 256, low=1),
+            target_block_errors=sweep("target_block_errors", 100, low=1),
+            max_batches_per_point=sweep("max_batches_per_point", 1000, low=1),
+            seed=fields("seed", 0),
+            precision=fields("precision", "single", ("single", "double")),
         )
-        # Constructing the pipeline performs the remaining cross checks.
-        build_pipeline(cfg)
+        build_pipeline(cfg)  # reads and checks every other field
+        fields.reject_unknown()
         return cfg
 
 
@@ -182,67 +243,29 @@ class SweepResult:
 
 
 class Pipeline:
-    """End-to-end transmit/channel/receive chain for one config."""
+    """End-to-end transmit/channel/receive chain for one config.
+
+    Construction reads and checks every field outside ``sweep``.
+    """
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.cdtype = np.complex64 if cfg.precision == "single" else np.complex128
+        f = cfg.fields
+        single = cfg.precision == "single"
+        self.cdtype = np.complex64 if single else np.complex128
+        self.ldtype = np.float32 if single else np.float64
 
-        mod = cfg.modulation
-        self.constellation = Constellation(mod.get("kind", "qam"),
-                                           mod["bits_per_symbol"])
-        self.m = mod["bits_per_symbol"]
-        demapper = mod.get("demapper", "app")
-        if demapper not in ("app", "maxlog"):
-            raise ConfigError("modulation.demapper", f"unknown demapper {demapper!r}")
-        self.demap = demap_app if demapper == "app" else demap_maxlog
+        mod = f.section("modulation", {"bits_per_symbol": 2})
+        # 1024-QAM is the largest modulation order of 5G NR.
+        self.m = mod("bits_per_symbol", low=1, high=10)
+        self.constellation = _build("modulation.bits_per_symbol", Constellation,
+                                    mod("kind", "qam", ("qam", "psk")), self.m)
+        demappers = {"app": demap_app, "maxlog": demap_maxlog}
+        self.demap = demappers[mod("demapper", "app", demappers)]
 
-        code = cfg.code
-        self.family = code["family"]
-        dec = dict(code.get("decoder", {}))
-        if self.family == "none":
-            self.payload_bits = code["k"]
-            self.coded_bits = code["k"]
-            self.coderate = 1.0
-        elif self.family == "ldpc5g":
-            self.ldpc = LdpcCode5G(code["k"], code["n"])
-            variant = dec.get("variant", "sum-product")
-            if variant not in BP_VARIANTS:
-                raise ConfigError("code.decoder.variant", f"unknown variant {variant!r}")
-            self.bp_variant = variant
-            self.bp_iter = dec.get("num_iter", DEFAULT_BP_ITER)
-            self.payload_bits = code["k"]
-            self.coded_bits = code["n"]
-            self.coderate = code["k"] / code["n"]
-        elif self.family == "polar5g":
-            crc_name = dec.get("crc")
-            if crc_name and crc_name not in CRC_POLYNOMIALS:
-                raise ConfigError("code.decoder.crc", f"unknown crc {crc_name!r}")
-            self.crc = CRC_POLYNOMIALS[crc_name] if crc_name else None
-            try:
-                self.polar = polar5g_construct(code["k"], code["n"], crc=self.crc)
-            except ValueError as exc:
-                raise ConfigError("code.n", str(exc)) from None
-            self.decoder_type = dec.get("type", "scl")
-            if self.decoder_type not in ("sc", "scl"):
-                raise ConfigError("code.decoder.type",
-                                  f"unknown decoder {self.decoder_type!r}")
-            self.list_size = dec.get("list_size", 8)
-            crc_deg = self.crc.degree if self.crc else 0
-            if code["k"] <= crc_deg:
-                raise ConfigError("code.k", "k must exceed the CRC degree")
-            self.payload_bits = code["k"] - crc_deg
-            self.coded_bits = code["n"]
-            self.coderate = self.payload_bits / code["n"]
-        elif self.family == "conv":
-            self.conv = ConvCode(
-                constraint_length=code.get("constraint_length", 3),
-                generators=tuple(code.get("generators", [0o5, 0o7])),
-            )
-            self.payload_bits = code["k"]
-            self.coded_bits = self.conv.num_outputs * (code["k"] + self.conv.tail_bits)
-            self.coderate = code["k"] / self.coded_bits
-
+        code = f.section("code", {"family": "none", "k": 100})
+        self.payload_bits, self.coded_bits, self.encode, self.decode = \
+            CODECS[code("family", kind=CODECS)](code)
+        self.coderate = self.payload_bits / self.coded_bits
         if self.coded_bits % self.m:
             raise ConfigError(
                 "modulation.bits_per_symbol",
@@ -251,76 +274,83 @@ class Pipeline:
             )
         self.num_symbols = self.coded_bits // self.m
 
-        self.channel_kind = cfg.channel.get("kind", "awgn")
-        if self.channel_kind == "flat":
-            self._init_mimo(cfg)
-        elif self.channel_kind == "tdl":
-            self._init_ofdm_tdl(cfg)
+        # Channel kind -> the stage section it needs and the method that
+        # reads it and returns the per-batch channel and demapping step.
+        channels = {"awgn": (None, lambda chan, stage: self._run_awgn),
+                    "flat": ("mimo", self._init_mimo),
+                    "tdl": ("ofdm", self._init_ofdm_tdl)}
+        chan = f.section("channel", {})
+        kind = chan("kind", "awgn", channels)
+        needed, init = channels[kind]
+        stages = {name: f.section(name, {}) for name in ("mimo", "ofdm")}
+        for name, stage in stages.items():
+            enabled = stage("enabled", False, bool)
+            if enabled != (name == needed):
+                raise ConfigError(
+                    f"{name}.enabled" if enabled else "channel.kind",
+                    f"channel kind {kind!r} "
+                    f"{'does not use' if enabled else 'requires'} {name}.enabled")
+            if not enabled:  # a disabled section may keep its other keys
+                stage.used.update(stage.d)
+        self.channel = init(chan, stages.get(needed))
 
-    def _init_mimo(self, cfg: SimConfig):
-        mimo_cfg = cfg.mimo
-        self.num_tx = mimo_cfg.get("num_tx", 2)
-        self.num_rx = mimo_cfg.get("num_rx", 2)
-        self.precoder = mimo_cfg.get("precoder")
-        self.equalizer = mimo_cfg.get("equalizer", "lmmse")
-        if self.precoder not in (None, "zf"):
-            raise ConfigError("mimo.precoder", f"unknown precoder {self.precoder!r}")
-        if self.equalizer != "lmmse":
-            raise ConfigError("mimo.equalizer", f"unknown equalizer {self.equalizer!r}")
-        self.num_streams = min(self.num_tx, self.num_rx)
+    def _init_mimo(self, chan, mimo):
+        self.num_rx = mimo("num_rx", 2, low=1)
+        self.num_streams = min(mimo("num_tx", 2, low=1), self.num_rx)
+        self.precoder = mimo("precoder", None, (None, "zf"))
+        mimo("equalizer", "lmmse", ("lmmse",))
         if self.num_symbols % self.num_streams:
             raise ConfigError(
                 "mimo.num_tx",
                 f"{self.num_symbols} symbols not divisible into "
                 f"{self.num_streams} streams",
             )
-        corr = cfg.channel.get("correlation")
+        self.correlation = None
+        corr = chan.section("correlation", None)
         if corr is not None:
-            self.correlation = ch.CorrelationPair(
-                np.asarray(corr["r_tx"]), np.asarray(corr["r_rx"])
-            )
-        else:
-            self.correlation = None
+            r_tx, r_rx = corr("r_tx", kind=list), corr("r_rx", kind=list)
+            self.correlation = _build("channel.correlation", lambda: ch.CorrelationPair(
+                np.asarray(r_tx, dtype=float), np.asarray(r_rx, dtype=float)))
+            if (len(r_tx), len(r_rx)) != (self.num_streams, self.num_rx):
+                raise ConfigError("channel.correlation",
+                                  f"needs r_tx {self.num_streams}x{self.num_streams}"
+                                  f" and r_rx {self.num_rx}x{self.num_rx}")
+        return self._run_flat
 
-    def _init_ofdm_tdl(self, cfg: SimConfig):
-        o = cfg.ofdm
-        pilots = o.get("pilots")
-        pattern = None
-        grid_kwargs = dict(
-            fft_size=_get(o, "ofdm.fft_size", required=True),
-            num_symbols=o.get("num_symbols", 14),
-            cp_length=o.get("cp_length", 0),
-            subcarrier_spacing=o.get("subcarrier_spacing", 15e3),
-            guard_left=o.get("guard_left", 0),
-            guard_right=o.get("guard_right", 0),
-            dc_null=o.get("dc_null", False),
+    def _init_ofdm_tdl(self, chan, o):
+        num_symbols = o("num_symbols", 14, low=1)
+        grid = _build(
+            "ofdm", ofdm_mod.ResourceGrid,
+            fft_size=o("fft_size", low=1),
+            num_symbols=num_symbols,
+            cp_length=o("cp_length", 0, low=0),
+            subcarrier_spacing=o("subcarrier_spacing", 15e3, float),
+            guard_left=o("guard_left", 0, low=0),
+            guard_right=o("guard_right", 0, low=0),
+            dc_null=o("dc_null", False, bool),
         )
-        probe = ofdm_mod.ResourceGrid(**grid_kwargs)
-        if pilots:
-            pattern = ofdm_mod.PilotPattern.regular(
-                num_symbols=grid_kwargs["num_symbols"],
-                num_subcarriers=probe.num_effective_subcarriers,
-                pilot_symbols=pilots.get("symbol_indices", [0]),
-                subcarrier_step=pilots.get("subcarrier_step", 1),
-                seed=pilots.get("seed", 0),
-            )
-        try:
-            self.grid = ofdm_mod.ResourceGrid(pilot_pattern=pattern, **grid_kwargs)
-        except ValueError as exc:
-            raise ConfigError("ofdm", str(exc)) from None
+        pilots = o.section("pilots")
+        self.grid = replace(
+            grid, pilot_pattern=ofdm_mod.PilotPattern.regular(
+                num_symbols=num_symbols,
+                num_subcarriers=grid.num_effective_subcarriers,
+                pilot_symbols=pilots("symbol_indices", [0], list, low=0,
+                                     high=num_symbols - 1, item=int),
+                subcarrier_step=pilots("subcarrier_step", 1, low=1),
+                seed=pilots("seed", 0),
+            ))
         if self.grid.num_data_cells != self.num_symbols:
             raise ConfigError(
                 "ofdm.fft_size",
                 f"grid has {self.grid.num_data_cells} data cells but the coded "
                 f"block maps to {self.num_symbols} symbols",
             )
-        t = cfg.channel
-        powers = t.get("powers", [1.0])
-        delays = t.get("delays_s", [0.0])
-        self.tdl = ch.TdlProfile(
-            powers=np.asarray(powers, dtype=float),
-            delays=np.asarray(delays, dtype=float),
-            doppler_hz=t.get("doppler_hz", 0.0),
+        self.tdl = _build(
+            "channel.powers", ch.TdlProfile,
+            powers=np.asarray(chan("powers", [1.0], list, item=float), dtype=float),
+            delays=np.asarray(chan("delays_s", [0.0], list, low=0, item=float),
+                              dtype=float),
+            doppler_hz=chan("doppler_hz", 0.0, float, low=0),
         )
         fs = self.grid.bandwidth
         d = self.tdl.delays * fs
@@ -331,56 +361,20 @@ class Pipeline:
         if max_delay > self.grid.cp_length:
             raise ConfigError("ofdm.cp_length",
                               "cyclic prefix shorter than the delay spread")
-        if pattern is None or pattern.num_pilots == 0:
-            raise ConfigError("ofdm.pilots",
-                              "tdl channel needs pilots for channel estimation")
+        return self._run_tdl
 
     # -- per-batch simulation ------------------------------------------------
-
-    def encode(self, payload: np.ndarray) -> np.ndarray:
-        if self.family == "none":
-            return payload
-        if self.family == "ldpc5g":
-            return ldpc5g_encode(payload, self.ldpc)
-        if self.family == "polar5g":
-            frame = crc_attach(payload, self.crc) if self.crc else payload
-            return polar_encode(frame, self.polar)
-        return conv_encode(payload, self.conv)
-
-    def decode(self, llr: np.ndarray) -> np.ndarray:
-        if self.family == "none":
-            return hard_decide(llr)
-        if self.family == "ldpc5g":
-            return ldpc5g_decode(llr, self.ldpc, num_iter=self.bp_iter,
-                                 variant=self.bp_variant)
-        if self.family == "polar5g":
-            if self.decoder_type == "sc":
-                bits = polar_sc_decode(llr, self.polar)
-            else:
-                bits = polar_scl_decode(llr, self.polar,
-                                        list_size=self.list_size,
-                                        use_crc=self.crc is not None)
-            return bits[:, : self.payload_bits]
-        return viterbi_decode(llr, self.conv)
 
     def run_batch(self, ebno_db: float, batch_size: int, rng: RngStream):
         """Simulate one batch; returns (payload, decoded) bit arrays."""
         no = ebnodb2no(ebno_db, self.m, self.coderate)
         payload = binary_source([batch_size, self.payload_bits], rng.child(0))
-        coded = self.encode(payload)
-        x = map_bits(coded, self.constellation).astype(self.cdtype)
+        x = map_bits(self.encode(payload), self.constellation).astype(self.cdtype)
+        llr = self.channel(x, no, rng)
+        return payload, self.decode(np.asarray(llr, dtype=self.ldtype))
 
-        if self.channel_kind == "awgn":
-            y = ch.awgn(x, no, rng.child(2))
-            llr = self.demap(y, no, self.constellation)
-        elif self.channel_kind == "flat":
-            llr = self._run_flat(x, no, rng)
-        else:
-            llr = self._run_tdl(x, no, rng, batch_size)
-
-        ldtype = np.float32 if self.cfg.precision == "single" else np.float64
-        decoded = self.decode(np.asarray(llr, dtype=ldtype))
-        return payload, decoded
+    def _run_awgn(self, x: np.ndarray, no: float, rng: RngStream):
+        return self.demap(ch.awgn(x, no, rng.child(2)), no, self.constellation)
 
     def _run_flat(self, x: np.ndarray, no: float, rng: RngStream):
         s = self.num_streams
@@ -401,12 +395,12 @@ class Pipeline:
                          self.constellation)
         return llr
 
-    def _run_tdl(self, x: np.ndarray, no: float, rng: RngStream, batch_size: int):
+    def _run_tdl(self, x: np.ndarray, no: float, rng: RngStream):
         grid = self.grid
         grid_tx = ofdm_mod.rg_map(x, grid)
         samples = ofdm_mod.ofdm_modulate(grid_tx, grid.cp_length)
         cir = ch.generate_tdl_cir(
-            self.tdl, batch_size, grid.num_symbols,
+            self.tdl, x.shape[0], grid.num_symbols,
             time_step=grid.samples_per_symbol / grid.bandwidth,
             sampling_rate=grid.bandwidth, rng=rng.child(1),
         )

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from linksim.alist import parse_alist
 from linksim.channel import (Cir, CorrelationPair, TdlProfile,
                              apply_time_domain, awgn, cir_to_ofdm_channel,
                              complex_gaussian, flat_fading, generate_tdl_cir)
+from linksim.cli import main
 from linksim.convcode import ConvCode, conv_encode, viterbi_decode
 from linksim.core import RngStream, binary_source, compute_ber, ebnodb2no
 from linksim.ldpc import LdpcCode5G, bp_decode
@@ -335,3 +337,15 @@ def test_criterion_10_worker_count_determinism(listing1_runs):
     assert a == b == c
     print(f"PASS criterion 10: byte-identical CSV for 1/4/8 workers "
           f"({total:.0f}s total)")
+
+
+def test_readme_and_listing1_configs_validate(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Command line", 1)[1]
+    example = example.split("```json\n", 1)[1].split("```", 1)[0]
+    for name, text in (("readme.json", example),
+                       ("listing1.json", json.dumps(LISTING1_CONFIG))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 0, \
+            capsys.readouterr().err

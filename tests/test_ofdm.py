@@ -83,6 +83,11 @@ class TestResourceGrid:
         with pytest.raises(ValueError):
             ResourceGrid(fft_size=16, cp_length=16)
 
+    @pytest.mark.parametrize("spacing", [0.0, -15e3])
+    def test_non_positive_subcarrier_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError):
+            ResourceGrid(fft_size=16, subcarrier_spacing=spacing)
+
 
 class TestRgMapDemap:
     def test_round_trip_with_pilots(self):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -23,6 +24,27 @@ def base_config(**overrides):
         "seed": 1,
     }
     cfg.update(overrides)
+    return cfg
+
+
+LDPC = {"code": {"family": "ldpc5g", "k": 100, "n": 300}}
+POLAR = {"code": {"family": "polar5g", "k": 64, "n": 128}}
+CONV = {"code": {"family": "conv", "k": 100}}
+FLAT = {"channel": {"kind": "flat"},
+        "mimo": {"enabled": True, "num_tx": 2, "num_rx": 2}}
+TDL = {"code": {"family": "none", "k": 128}, "channel": {"kind": "tdl"},
+       "ofdm": {"enabled": True, "fft_size": 64, "num_symbols": 2,
+                "cp_length": 4, "pilots": {}}}
+
+
+def set_fields(cfg, updates):
+    """Set each dotted field of ``updates`` in ``cfg``, in order."""
+    for fieldname, value in updates.items():
+        *parents, key = fieldname.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = copy.deepcopy(value)
     return cfg
 
 
@@ -263,6 +285,12 @@ class TestCli:
         ("sweep.target_block_errors", True),
         ("sweep.target_block_errors", 0),
         ("sweep.target_block_errors", 2.5),
+        ("sweep.batch_size", True),
+        ("sweep.batch_size", 2.5),
+        ("sweep.batch_size", -1),
+        ("sweep.max_batches_per_point", True),
+        ("sweep.max_batches_per_point", 2.5),
+        ("sweep.max_batches_per_point", -1),
     ])
     def test_run_rejects_bad_integer_fields(self, tmp_path, capsys,
                                             fieldname, value):
@@ -275,6 +303,55 @@ class TestCli:
         path = self._write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == 2
         assert fieldname in capsys.readouterr().err
+
+    @pytest.mark.parametrize("updates,fieldname", [
+        ({"sweep.ebno_db": [float("nan")]}, "sweep.ebno_db"),
+        ({"sweep.ebno_db": [0.0, float("inf")]}, "sweep.ebno_db"),
+        ({"sweep.ebno_db": [True]}, "sweep.ebno_db"),
+        ({"code": []}, "code"),
+        ({"channel": "awgn"}, "channel"),
+        ({"sweep": 5}, "sweep"),
+        ({**LDPC, "code.decoder": 3}, "code.decoder"),
+        ({**POLAR, "code.decoder.list_size": 0}, "code.decoder.list_size"),
+        ({**POLAR, "code.decoder.list_size": "x"}, "code.decoder.list_size"),
+        ({**FLAT, "mimo.num_tx": 0}, "mimo.num_tx"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[1, 0], [0, 1]]}},
+         "channel.correlation.r_rx"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[1]], "r_rx": [[1, 0], [0, 1]]}},
+         "channel.correlation"),
+        ({"code": {"family": "ldpc5g", "k": 9000, "n": 18000}}, "code.k"),
+        ({**CONV, "code.generators": [0o5, 0o77]}, "code.generators"),
+        ({**TDL, "channel.powers": [0.5]}, "channel.powers"),
+        ({**CONV, "code.constraint_length": 1}, "code.constraint_length"),
+        ({**CONV, "code.constraint_length": 10}, "code.constraint_length"),
+        ({**TDL, "ofdm.pilots.symbol_indices": [5]}, "ofdm.pilots.symbol_indices"),
+        ({**TDL, "ofdm.pilots.subcarrier_step": 0}, "ofdm.pilots.subcarrier_step"),
+        ({**TDL, "ofdm.cp_length": 64}, "ofdm"),
+        ({**TDL, "ofdm.subcarrier_spacing": 0}, "ofdm"),
+        ({**POLAR, "code.decoder.crc": ["x"]}, "code.decoder.crc"),
+        ({"sweep.batchsize": 10}, "sweep.batchsize"),
+        ({"precison": "double"}, "precison"),
+        ({**CONV, "code.n": 300}, "code.n"),
+        ({**POLAR, "code.decoder": {"type": "sc", "list_size": 8}},
+         "code.decoder.list_size"),
+        ({"ofdm": {"enabled": True}}, "ofdm.enabled"),
+        ({"mimo": {"enabled": True}}, "mimo.enabled"),
+    ])
+    def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
+        cfg = set_fields(base_config(), updates)
+        path = self._write_config(tmp_path, cfg)
+        assert main(["run", "--config", path]) == 2
+        assert f"{fieldname}:" in capsys.readouterr().err
+
+    def test_unknown_field_names_close_match(self, tmp_path, capsys):
+        cfg = set_fields(base_config(), {"sweep.batchsize": 10})
+        assert main(["validate", "--config", self._write_config(tmp_path, cfg)]) == 2
+        assert "did you mean 'batch_size'?" in capsys.readouterr().err
+
+    def test_disabled_section_may_keep_its_fields(self, tmp_path, capsys):
+        cfg = base_config(ofdm={"enabled": False, "fft_size": 64},
+                          mimo={"num_tx": 4})
+        assert main(["validate", "--config", self._write_config(tmp_path, cfg)]) == 0
 
     def test_largest_modulation_order_accepted(self, tmp_path, capsys):
         cfg = base_config()
