@@ -5,6 +5,22 @@ Block lengths are powers of two up to 1024, natural (non-bit-reversed)
 order.  Construction freezes the least reliable synthetic channels
 according to the bundled length-1024 reliability sequence; Reed-Muller
 codes reuse the same machinery with a row-weight information set.
+
+The CRC remainder is one GF(2) matrix product with the table of
+x^j mod g (the CRC has zero initial state, so it is linear).
+
+The list decoder copies no path state when paths split (the lazy copy
+of Tal & Vardy, "List Decoding of Polar Codes", IEEE T-IT 2015).  Each
+depth keeps a small [batch, L] index of the stored row that holds each
+path.  An information leaf composes these indices with the surviving
+parents instead of permuting the LLR and partial-sum arrays, and a level
+is gathered through its index only when a descent or a partial-sum step
+reads it; levels are written fresh in path order.  Decisions are not
+copied either: each information leaf records its bits and parents, and
+the final paths are traced back once.  The arithmetic on each path is
+the same float64 expressions in the same order as with physical copies,
+and the candidates are ranked by the same stable sort, so the decisions
+are bit-identical to those of the copying decoder.
 """
 
 from __future__ import annotations
@@ -55,17 +71,30 @@ CRC_POLYNOMIALS = {
 
 
 def _crc_remainder(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
-    """Polynomial-division remainder of bits * x^degree, per batch row."""
+    """Polynomial-division remainder of bits * x^degree, per batch row.
+
+    With zero initial state the remainder is linear over GF(2): bit t of
+    a length-l row adds x^(l - 1 - t + degree) mod g.  So it is one matrix
+    product with the [l, degree] table of those powers, summed exactly in
+    float64 (sums of 0/1 terms are integers far below 2^53), then taken
+    mod 2.
+    """
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     deg = poly.degree
-    taps = np.asarray(poly.coefficients[1:], dtype=np.uint8)  # below the lead
-    rem = np.zeros((bits.shape[0], deg), dtype=np.uint8)
-    for t in range(bits.shape[1]):
-        feedback = rem[:, 0] ^ bits[:, t]
-        rem[:, :-1] = rem[:, 1:]
-        rem[:, -1] = 0
-        rem ^= feedback[:, None] * taps
-    return rem
+    length = bits.shape[1]
+    g = int("".join(map(str, poly.coefficients)), 2)
+    width = (deg + 7) // 8
+    powers = []  # x^(j + degree) mod g for j = 0 .. length - 1
+    p = g ^ (1 << deg)
+    for _ in range(length):
+        powers.append(p.to_bytes(width, "big"))
+        p <<= 1
+        if p >> deg:
+            p ^= g
+    table = np.unpackbits(np.frombuffer(b"".join(powers), dtype=np.uint8))
+    table = table.reshape(length, 8 * width)[::-1, 8 * width - deg:]
+    product = bits.astype(np.float64) @ table.astype(np.float64)
+    return (product.astype(np.int64) & 1).astype(np.uint8)
 
 
 def crc_attach(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
@@ -235,6 +264,11 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
     return u[:, code.info_set]
 
 
+def _gather(level: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``level`` [batch, L, width] read at the flat rows ``index`` [batch, L]."""
+    return np.take(level.reshape(index.size, -1), index, axis=0)
+
+
 def polar_scl_decode(
     llr: np.ndarray,
     code: PolarCode,
@@ -265,42 +299,39 @@ def polar_scl_decode(
     frozen_mask = np.zeros(n, dtype=bool)
     frozen_mask[code.frozen_set] = True
 
-    # alpha[d]: LLRs of the active node at depth d, [batch, L, n >> d].
-    alpha = [np.zeros((batch, size, n >> d)) for d in range(stages + 1)]
-    alpha[0][:] = -llr[:, None, :]  # internal ln(p0/p1)
+    # alpha[d]: LLRs of the active node at depth d, [batch, L, n >> d];
+    # alpha[0] is the channel LLR in internal ln(p0/p1), shared by all paths.
+    alpha = [np.broadcast_to(-llr[:, None, :], (batch, size, n))] + [None] * stages
     # beta_store[d]: completed left-child partial sums at depth d.
-    beta_store = [None] + [
-        np.zeros((batch, size, n >> d), dtype=np.uint8) for d in range(1, stages + 1)
-    ]
-    us = np.zeros((batch, size, n), dtype=np.uint8)
+    beta_store = [None] * (stages + 1)
+    # path[d, b, l]: the row of alpha[d] and beta_store[d], flattened to
+    # [batch * L, width], that holds path l of batch row b.
+    rows = np.arange(batch)[:, None]
+    identity = rows * size + np.arange(size)
+    path = np.broadcast_to(identity, (stages + 1, batch, size)).copy()
     metrics = np.full((batch, size), np.inf)
     metrics[:, 0] = 0.0
-    rows = np.arange(batch)[:, None]
+    bits, srcs = [], []  # per info leaf: the bit and the surviving parent
 
-    def push_alpha(from_depth, leaf):
-        for d in range(from_depth, stages):
-            a = alpha[d]
+    for leaf in range(n):
+        # Descend from the deepest ancestor shared with the previous leaf,
+        # writing every level below it fresh, in path order.
+        top = stages - (leaf ^ (leaf - 1)).bit_length() if leaf else 0
+        a = _gather(alpha[top], path[top]) if top else alpha[0]
+        for d in range(top, stages):
             h = a.shape[-1] // 2
             left, right = a[..., :h], a[..., h:]
             if (leaf >> (stages - d - 1)) & 1:
-                alpha[d + 1] = right + (1.0 - 2.0 * beta_store[d + 1]) * left
+                # The previous leaf wrote beta_store[d + 1], in path order.
+                a = right + (1.0 - 2.0 * beta_store[d + 1]) * left
             else:
-                alpha[d + 1] = f_func(left, right)
+                a = f_func(left, right)
+            alpha[d + 1] = a
+        path[top + 1:] = identity
 
-    prev = 0
-    for leaf in range(n):
-        if leaf == 0:
-            push_alpha(0, 0)
-        else:
-            changed = prev ^ leaf
-            ancestor = stages - changed.bit_length()
-            push_alpha(ancestor, leaf)
-        prev = leaf
-
-        a = alpha[stages][..., 0]  # [batch, L]
+        a = a[..., 0]  # [batch, L]
         if frozen_mask[leaf]:
             metrics = metrics + np.maximum(-a, 0.0)
-            us[:, :, leaf] = 0
             beta_leaf = np.zeros((batch, size, 1), dtype=np.uint8)
         else:
             pen0 = np.maximum(-a, 0.0)  # decide 0 against a negative LLR
@@ -313,24 +344,29 @@ def polar_scl_decode(
             src = order >> 1
             bit = (order & 1).astype(np.uint8)
             metrics = np.take_along_axis(cand, order, axis=1)
-            us = us[rows, src]
-            us[:, :, leaf] = bit
-            for d in range(1, stages + 1):
-                beta_store[d] = beta_store[d][rows, src]
-                alpha[d] = alpha[d][rows, src]
+            # Path l now continues path src[l]: compose, copy nothing.
+            path = path[:, rows, src]
+            bits.append(bit)
+            srcs.append(src)
             beta_leaf = bit[..., None]
 
         # Propagate partial sums up while leaving right children.
         b_cur = beta_leaf
         depth = stages
         while depth > 0 and (leaf >> (stages - depth)) & 1:
-            left = beta_store[depth]
+            left = _gather(beta_store[depth], path[depth])
             b_cur = np.concatenate([left ^ b_cur, b_cur], axis=-1)
             depth -= 1
         if depth > 0:
             beta_store[depth] = b_cur
+            path[depth] = identity
 
-    decisions = us[:, :, code.info_set]  # [batch, L, k]
+    # Trace each final path back through its parents to read its bits.
+    decisions = np.empty((batch, size, len(bits)), dtype=np.uint8)  # [batch, L, k]
+    cur = np.broadcast_to(np.arange(size), (batch, size))
+    for j in range(len(bits) - 1, -1, -1):
+        decisions[:, :, j] = np.take_along_axis(bits[j], cur, axis=1)
+        cur = np.take_along_axis(srcs[j], cur, axis=1)
     if use_crc:
         flat = decisions.reshape(batch * size, -1)
         valid = crc_check(flat, code.crc).reshape(batch, size)

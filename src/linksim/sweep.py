@@ -296,7 +296,8 @@ class Pipeline:
 
     def _init_mimo(self, chan, mimo):
         self.num_rx = mimo("num_rx", 2, low=1)
-        self.num_streams = min(mimo("num_tx", 2, low=1), self.num_rx)
+        # One stream per transmit antenna, at most one per receive antenna.
+        self.num_streams = mimo("num_tx", 2, low=1, high=self.num_rx)
         self.precoder = mimo("precoder", None, (None, "zf"))
         mimo("equalizer", "lmmse", ("lmmse",))
         if self.num_symbols % self.num_streams:

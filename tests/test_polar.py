@@ -5,10 +5,12 @@ import pytest
 
 from linksim.channel import awgn
 from linksim.core import RngStream, binary_source, compute_bler, ebnodb2no
-from linksim.polar import (CRC_POLYNOMIALS, PolarCode, crc_attach, crc_check,
+from linksim.polar import (CRC_POLYNOMIALS, PolarCode, _crc_remainder,
+                           _f_exact, _f_minsum, crc_attach, crc_check,
                            polar5g_construct, polar_encode, polar_sc_decode,
                            polar_scl_decode, polar_transform, rm_construct,
                            reliability_sequence)
+from linksim.sweep import SimConfig, format_csv, run_sweep
 
 
 def bpsk_llr(codewords, no, rng):
@@ -254,3 +256,183 @@ class TestSclDecode:
         code = polar5g_construct(4, 8)
         with pytest.raises(ValueError):
             polar_scl_decode(np.zeros((1, 8)), code, use_crc=True)
+
+
+# -- oracles: the shift-register CRC and the copying SCL decoder ------------
+
+def crc_register_states(bits, poly):
+    """Shift-register CRC over each row; the register after every bit.
+
+    The state after t bits is the remainder of the t-bit prefix, so entry
+    t - 1 is the oracle for ``_crc_remainder(bits[:, :t], poly)``.
+    """
+    deg = poly.degree
+    taps = np.asarray(poly.coefficients[1:], dtype=np.uint8)
+    rem = np.zeros((bits.shape[0], deg), dtype=np.uint8)
+    states = []
+    for t in range(bits.shape[1]):
+        feedback = rem[:, 0] ^ bits[:, t]
+        rem[:, :-1] = rem[:, 1:]
+        rem[:, -1] = 0
+        rem ^= feedback[:, None] * taps
+        states.append(rem.copy())
+    return states
+
+
+def scl_decode_oracle(llr, code, list_size=8, use_crc=False, exact=False):
+    """SCL that permutes every path-indexed array at each info leaf."""
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    n = code.block_length
+    batch = llr.shape[0]
+    stages = code.num_stages
+    size = list_size
+    f_func = _f_exact if exact else _f_minsum
+    frozen_mask = np.zeros(n, dtype=bool)
+    frozen_mask[code.frozen_set] = True
+
+    alpha = [np.zeros((batch, size, n >> d)) for d in range(stages + 1)]
+    alpha[0][:] = -llr[:, None, :]
+    beta_store = [None] + [
+        np.zeros((batch, size, n >> d), dtype=np.uint8) for d in range(1, stages + 1)
+    ]
+    us = np.zeros((batch, size, n), dtype=np.uint8)
+    metrics = np.full((batch, size), np.inf)
+    metrics[:, 0] = 0.0
+    rows = np.arange(batch)[:, None]
+
+    def push_alpha(from_depth, leaf):
+        for d in range(from_depth, stages):
+            a = alpha[d]
+            h = a.shape[-1] // 2
+            left, right = a[..., :h], a[..., h:]
+            if (leaf >> (stages - d - 1)) & 1:
+                alpha[d + 1] = right + (1.0 - 2.0 * beta_store[d + 1]) * left
+            else:
+                alpha[d + 1] = f_func(left, right)
+
+    prev = 0
+    for leaf in range(n):
+        if leaf == 0:
+            push_alpha(0, 0)
+        else:
+            push_alpha(stages - (prev ^ leaf).bit_length(), leaf)
+        prev = leaf
+
+        a = alpha[stages][..., 0]
+        if frozen_mask[leaf]:
+            metrics = metrics + np.maximum(-a, 0.0)
+            us[:, :, leaf] = 0
+            beta_leaf = np.zeros((batch, size, 1), dtype=np.uint8)
+        else:
+            pen0 = np.maximum(-a, 0.0)
+            pen1 = np.maximum(a, 0.0)
+            cand = np.stack([metrics + pen0, metrics + pen1], axis=-1)
+            cand = cand.reshape(batch, 2 * size)
+            order = np.argsort(cand, axis=1, kind="stable")[:, :size]
+            src = order >> 1
+            bit = (order & 1).astype(np.uint8)
+            metrics = np.take_along_axis(cand, order, axis=1)
+            us = us[rows, src]
+            us[:, :, leaf] = bit
+            for d in range(1, stages + 1):
+                beta_store[d] = beta_store[d][rows, src]
+                alpha[d] = alpha[d][rows, src]
+            beta_leaf = bit[..., None]
+
+        b_cur = beta_leaf
+        depth = stages
+        while depth > 0 and (leaf >> (stages - depth)) & 1:
+            left = beta_store[depth]
+            b_cur = np.concatenate([left ^ b_cur, b_cur], axis=-1)
+            depth -= 1
+        if depth > 0:
+            beta_store[depth] = b_cur
+
+    decisions = us[:, :, code.info_set]
+    if use_crc:
+        flat = decisions.reshape(batch * size, -1)
+        deg = code.crc.degree
+        expected = crc_register_states(flat[:, :-deg], code.crc)[-1]
+        valid = np.all(expected == flat[:, -deg:], axis=1).reshape(batch, size)
+        gated = np.where(valid, metrics, np.inf)
+        has_valid = np.any(valid, axis=1)
+        best = np.where(has_valid, np.argmin(gated, axis=1), np.argmin(metrics, axis=1))
+    else:
+        best = np.argmin(metrics, axis=1)
+    return decisions[np.arange(batch), best]
+
+
+class TestCrcMatchesRegister:
+    @pytest.mark.parametrize("name", sorted(CRC_POLYNOMIALS))
+    @pytest.mark.parametrize("batch", [1, 2048])
+    def test_every_length_to_600(self, name, batch):
+        poly = CRC_POLYNOMIALS[name]
+        bits = np.random.default_rng(len(name) + batch).integers(
+            0, 2, size=(batch, 600), dtype=np.uint8)
+        states = crc_register_states(bits, poly)
+        for length in range(1, 601):
+            rem = _crc_remainder(bits[:, :length], poly)
+            assert rem.dtype == np.uint8
+            assert np.array_equal(rem, states[length - 1]), length
+
+
+def _scl_cases():
+    """(label, code) pairs: random polar5g codes n = 2..1024, with and
+    without a CRC, and Reed-Muller codes including full rate."""
+    g = np.random.default_rng(40)
+    cases = []
+    for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        k = int(g.integers(1, n))
+        cases.append((f"polar-{k}-{n}", polar5g_construct(k, n)))
+    for name, n in (("parity", 8), ("crc6", 32), ("crc11", 64),
+                    ("crc16", 128), ("crc24a", 256), ("crc24a", 1024)):
+        crc = CRC_POLYNOMIALS[name]
+        k = int(g.integers(crc.degree + 1, n))
+        cases.append((f"polar-{k}-{n}-{name}", polar5g_construct(k, n, crc=crc)))
+    for r, m in ((0, 4), (1, 3), (2, 5), (3, 6), (3, 3)):
+        cases.append((f"rm-{r}-{m}", rm_construct(r, m)))
+    return cases
+
+
+SCL_CASES = _scl_cases()
+
+
+class TestSclMatchesOracle:
+    """The lazy-copy decoder returns the copying decoder's bits exactly."""
+
+    @pytest.mark.parametrize("list_size", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("label,code", SCL_CASES,
+                             ids=[label for label, _ in SCL_CASES])
+    def test_bit_identical(self, label, code, list_size):
+        n = code.block_length
+        g = np.random.default_rng(n + list_size)
+        for batch in (1, list_size + 5):
+            words = polar_encode(
+                g.integers(0, 2, size=(batch, code.k), dtype=np.uint8), code)
+            llr = 2.0 * (2.0 * words - 1.0) + 2.5 * g.standard_normal((batch, n))
+            llr = np.round(2.0 * llr) / 2.0  # a 0.5 grid: metric ties occur
+            for exact in (False, True):
+                for use_crc in (False, True) if code.crc else (False,):
+                    got = polar_scl_decode(llr, code, list_size=list_size,
+                                           use_crc=use_crc, exact=exact)
+                    want = scl_decode_oracle(llr, code, list_size=list_size,
+                                             use_crc=use_crc, exact=exact)
+                    assert got.dtype == want.dtype == np.uint8
+                    assert np.array_equal(got, want), (batch, exact, use_crc)
+
+    def test_sweep_csv_same_at_one_and_two_workers(self):
+        cfg = SimConfig.from_dict({
+            "code": {"family": "polar5g", "k": 70, "n": 128,
+                     "decoder": {"type": "scl", "list_size": 4,
+                                 "crc": "crc6"}},
+            "modulation": {"kind": "qam", "bits_per_symbol": 2},
+            "channel": {"kind": "awgn"},
+            "sweep": {"ebno_db": [0.0, 2.0, 4.0], "batch_size": 32,
+                      "target_block_errors": 20, "max_batches_per_point": 4},
+            "seed": 5,
+        })
+        strip = lambda text: [",".join(ln.split(",")[:-1])
+                              for ln in text.splitlines()]
+        one, two = (strip(format_csv(run_sweep(cfg, num_workers=w)))
+                    for w in (1, 2))
+        assert one == two

@@ -315,6 +315,7 @@ class TestCli:
         ({**POLAR, "code.decoder.list_size": 0}, "code.decoder.list_size"),
         ({**POLAR, "code.decoder.list_size": "x"}, "code.decoder.list_size"),
         ({**FLAT, "mimo.num_tx": 0}, "mimo.num_tx"),
+        ({**FLAT, "mimo.num_tx": 4}, "mimo.num_tx"),
         ({**FLAT, "channel.correlation": {"r_tx": [[1, 0], [0, 1]]}},
          "channel.correlation.r_rx"),
         ({**FLAT, "channel.correlation": {"r_tx": [[1]], "r_rx": [[1, 0], [0, 1]]}},
