@@ -315,7 +315,6 @@ class TestCli:
         ({**POLAR, "code.decoder.list_size": 0}, "code.decoder.list_size"),
         ({**POLAR, "code.decoder.list_size": "x"}, "code.decoder.list_size"),
         ({**FLAT, "mimo.num_tx": 0}, "mimo.num_tx"),
-        ({**FLAT, "mimo.num_tx": 4}, "mimo.num_tx"),
         ({**FLAT, "channel.correlation": {"r_tx": [[1, 0], [0, 1]]}},
          "channel.correlation.r_rx"),
         ({**FLAT, "channel.correlation": {"r_tx": [[1]], "r_rx": [[1, 0], [0, 1]]}},
@@ -337,6 +336,7 @@ class TestCli:
          "code.decoder.list_size"),
         ({"ofdm": {"enabled": True}}, "ofdm.enabled"),
         ({"mimo": {"enabled": True}}, "mimo.enabled"),
+        ({**FLAT, "mimo.num_tx": 4}, "mimo.num_tx"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
