@@ -59,18 +59,21 @@ def _load_config(path: str, seed=None, precision=None) -> SimConfig:
     return SimConfig.from_dict(raw)
 
 
+def _positive_int(name: str, raw) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(name, f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def _num_workers(args) -> int:
+    """Worker count: ``LINKSIM_WORKERS`` if set, else ``--workers``."""
+    workers = _positive_int("--workers", args.workers)
     env = os.environ.get(ENV_WORKERS)
-    if env is not None:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(ENV_WORKERS,
-                              f"must be a positive integer, got {env!r}")
-        return value
-    return max(1, args.workers)
+    return workers if env is None else _positive_int(ENV_WORKERS, env)
 
 
 def _cmd_run(args) -> int:

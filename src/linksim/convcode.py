@@ -55,21 +55,20 @@ def conv_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
     if bits.shape[1] < 1:
         raise ValueError("conv_encode: need at least one input bit")
     batch, k = bits.shape
-    ng = code.num_outputs
     kk = code.constraint_length
-
-    # Precomputed output table indexed by the full K-bit register value.
-    table = np.array([_output_bits(code, v) for v in range(1 << kk)], dtype=np.uint8)
-
     total = k + code.tail_bits
-    out = np.empty((batch, total, ng), dtype=np.uint8)
-    state = np.zeros(batch, dtype=np.int64)
-    for t in range(total):
-        u = bits[:, t].astype(np.int64) if t < k else np.zeros(batch, dtype=np.int64)
-        reg = (u << (kk - 1)) | state
-        out[:, t, :] = table[reg]
-        state = reg >> 1
-    return out.reshape(batch, total * ng)
+    # Output j at step t is the XOR of the inputs u[t - d] over the taps d
+    # of generator j (tap d is bit K-1-d, so d = 0 is the current input).
+    # Leading zeros stand for the all-zero start state, trailing ones for
+    # the termination tail.
+    padded = np.zeros((batch, kk - 1 + total), dtype=np.uint8)
+    padded[:, kk - 1: kk - 1 + k] = bits
+    out = np.zeros((batch, total, code.num_outputs), dtype=np.uint8)
+    for j, g in enumerate(code.generators):
+        for d in range(kk):
+            if g >> (kk - 1 - d) & 1:
+                out[:, :, j] ^= padded[:, kk - 1 - d: kk - 1 - d + total]
+    return out.reshape(batch, total * code.num_outputs)
 
 
 def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:

@@ -24,6 +24,14 @@ Two things keep decoding cheap:
   sum-product) messages and takes part in the early-stop syndrome, so
   output LLRs can differ in the last bits.  The decisions on the test
   corpus and the benchmark's reference sweeps are unchanged.
+
+The 5G-style code is described once, by the base graph's ``(row, col,
+shift)`` entries.  The encoder lifts them into circulant Z-blocks and forms
+no matrix (Richardson & Urbanke, "Efficient encoding of LDPC codes",
+2001): per base row it XORs the shifted Z-blocks, first into the core
+syndromes, which the accumulate core turns into the first four parity
+blocks, then into each extension row's own parity block.  All of it is
+exact GF(2) arithmetic.
 """
 
 from __future__ import annotations
@@ -88,12 +96,9 @@ class _EdgeGraph:
                    np.concatenate(pcm.row_adj))
 
 
-def _edge_graph(pcm: ParityCheckMatrix) -> _EdgeGraph:
-    graph = getattr(pcm, "_edge_graph", None)
-    if graph is None:
-        graph = _EdgeGraph.from_pcm(pcm)
-        pcm._edge_graph = graph
-    return graph
+# Built per call and stored nowhere: a graph cached on the caller's matrix
+# would be written by whichever thread decodes first.
+_edge_graph = _EdgeGraph.from_pcm
 
 
 def _segment_min2(mag: np.ndarray, starts: np.ndarray, deg: np.ndarray):
@@ -253,27 +258,44 @@ def exit_mutual_information(llr: np.ndarray, bits: np.ndarray) -> float:
     return float(np.clip(info, 0.0, 1.0))
 
 
-def _load_base_graph(name: str):
+def _load_base_graph(name: str) -> np.ndarray:
     text = (
         importlib.resources.files("linksim.data").joinpath(name).read_text()
     )
-    entries = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        r, c, s = (int(t) for t in line.split())
-        entries[(r, c)] = s
-    return entries
+    base = np.loadtxt(text.splitlines(), dtype=np.int64, ndmin=2)
+    base = base[np.lexsort((base[:, 1], base[:, 0]))]
+    base.flags.writeable = False
+    return base
 
 
 @functools.lru_cache(maxsize=None)
 def _base_graph(bg: int):
+    """Base graph ``bg`` as (entries, m_b, n_b, k_b).
+
+    ``entries`` is a read-only int64 [E, 3] array of (row, col, shift),
+    sorted by row, then column.
+    """
     if bg == 1:
         return _load_base_graph("ldpc_bg1.txt"), 46, 68, 22
     if bg == 2:
         return _load_base_graph("ldpc_bg2.txt"), 42, 52, 10
     raise ValueError(f"unknown base graph {bg}")
+
+
+def _lift(entries: np.ndarray, z: int) -> np.ndarray:
+    """Lifted column indices [E, z]: the circulant of entry (row, col,
+    shift) joins lifted row ``row*z + j`` to column ``col*z + (j+shift) % z``."""
+    return entries[:, 1:2] * z + (np.arange(z) + entries[:, 2:]) % z
+
+
+def _block_xor(bits: np.ndarray, entries: np.ndarray, z: int) -> np.ndarray:
+    """Per base row of ``entries``, the XOR of the circulant-shifted
+    Z-blocks of ``bits`` [batch, n] that its entries select: [batch, rows, z].
+
+    ``entries`` is sorted by row; a row without entries is left out.
+    """
+    starts = np.flatnonzero(np.diff(entries[:, 0], prepend=-1))
+    return np.bitwise_xor.reduceat(bits[:, _lift(entries, z)], starts, axis=1)
 
 
 @dataclass
@@ -295,18 +317,17 @@ class LdpcCode5G:
                 f"unsupported (k={self.k}, n={self.n}): need 0 < k < n"
             )
         self.base_graph = 2 if self.k <= 292 else 1
-        entries, m_b, n_b, kb = _base_graph(self.base_graph)
+        kb = _base_graph(self.base_graph)[3]
         if self.k > kb * 384:
             raise ValueError(f"k={self.k} too large for both base graphs")
         z = next((z for z in LIFTING_SIZES if kb * z >= self.k), None)
         if z is None:
             raise ValueError(f"no lifting size supports k={self.k}")
         self.z = z
-        self._entries = entries
-        self._mb, self._nb, self._kb = m_b, n_b, kb
         self._build()
 
     def _build(self):
+        self._base, self._mb, self._nb, self._kb = _base_graph(self.base_graph)
         z, kb = self.z, self._kb
         self.k_full = kb * z
         self.n_full = self._nb * z
@@ -319,21 +340,6 @@ class LdpcCode5G:
         keep[: 2 * z] = False  # punctured systematic bits, never sent
         buffer = np.nonzero(keep)[0]
         self.transmit_idx = buffer[np.arange(self.n) % len(buffer)]
-
-        # Dense systematic block of the lifted matrix, used for encoding.
-        sys_entries = [(r, c, s) for (r, c), s in self._entries.items() if c < kb]
-        h_sys = np.zeros((self.m_full, self.k_full), dtype=np.uint8)
-        for r, c, s in sys_entries:
-            rows = r * z + np.arange(z)
-            cols = c * z + (np.arange(z) + s) % z
-            h_sys[rows, cols] ^= 1
-        self._h_sys = h_sys
-        # Core parity connections of extension rows (rows >= 4).
-        self._ext_parity = [
-            (r, c - kb, s % z)
-            for (r, c), s in self._entries.items()
-            if kb <= c < kb + 4 and r >= 4
-        ]
         self._pcm = None
 
         # Decoding graph: the mother graph without the punctured degree-1
@@ -360,11 +366,8 @@ class LdpcCode5G:
     def _lifted_edges(self):
         """Mother-code edges (rows, cols), sorted by row, then column."""
         z = self.z
-        base = np.array([(r, c, s) for (r, c), s in self._entries.items()],
-                        dtype=np.int64)
-        lift = np.arange(z)
-        rows = (base[:, :1] * z + lift).ravel()
-        cols = (base[:, 1:2] * z + (lift + base[:, 2:]) % z).ravel()
+        rows = (self._base[:, :1] * z + np.arange(z)).ravel()
+        cols = _lift(self._base, z).ravel()
         order = np.lexsort((cols, rows))
         return rows[order], cols[order]
 
@@ -392,37 +395,26 @@ class LdpcCode5G:
         bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
         if bits.shape[-1] != self.k:
             raise ValueError(f"expected {self.k} info bits, got {bits.shape[-1]}")
-        batch = bits.shape[0]
-        z = self.z
-        c_sys = np.zeros((batch, self.k_full), dtype=np.uint8)
-        c_sys[:, : self.k] = bits
-
-        # Syndromes of all checks against the systematic part.
-        s = (c_sys.astype(np.float32) @ self._h_sys.T.astype(np.float32)) % 2
-        s = s.astype(np.uint8)
-        s_blk = s.reshape(batch, self._mb, z)
+        batch, z, kb, base = bits.shape[0], self.z, self._kb, self._base
+        blocks = np.zeros((batch, self._nb, z), dtype=np.uint8)
+        word = blocks.reshape(batch, -1)  # a view: writes land in blocks
+        word[:, : self.k] = bits
+        core = base[:, 0] < 4
 
         # Structured solve of the accumulate core: the sum of the four core
         # rows leaves only the shift-1 circulant acting on p1.
-        ssum = s_blk[:, 0] ^ s_blk[:, 1] ^ s_blk[:, 2] ^ s_blk[:, 3]
-        p1 = np.roll(ssum, 1, axis=-1)
-        p2 = s_blk[:, 0] ^ ssum  # row 0: shift-1 on p1 contributes ssum
-        p3 = s_blk[:, 1] ^ p1 ^ p2
-        p4 = s_blk[:, 2] ^ p3
-        core = [p1, p2, p3, p4]
-
-        parity = np.zeros((batch, self.m_full), dtype=np.uint8)
-        parity[:, 0 * z: 1 * z] = p1
-        parity[:, 1 * z: 2 * z] = p2
-        parity[:, 2 * z: 3 * z] = p3
-        parity[:, 3 * z: 4 * z] = p4
-        # Extension rows: p_r = s_r (+ core parity contributions).
-        ext = s_blk[:, 4:].copy()
-        for r, core_col, s_shift in self._ext_parity:
-            ext[:, r - 4] ^= np.roll(core[core_col], -s_shift, axis=-1)
-        parity[:, 4 * z:] = ext.reshape(batch, -1)
-
-        return np.concatenate([c_sys, parity], axis=-1)
+        s = _block_xor(word, base[core & (base[:, 1] < kb)], z)
+        ssum = s[:, 0] ^ s[:, 1] ^ s[:, 2] ^ s[:, 3]
+        p = blocks[:, kb:]
+        p[:, 0] = np.roll(ssum, 1, axis=-1)
+        p[:, 1] = s[:, 0] ^ ssum  # row 0: shift-1 on p1 contributes ssum
+        p[:, 2] = s[:, 1] ^ p[:, 0] ^ p[:, 1]
+        p[:, 3] = s[:, 2] ^ p[:, 2]
+        # Extension row r >= 4 checks the systematic and core parity blocks
+        # plus its own parity block through the identity, so that block is
+        # the XOR of the others.
+        p[:, 4:] = _block_xor(word, base[~core & (base[:, 1] < kb + 4)], z)
+        return word
 
     def derate_match(self, llr: np.ndarray) -> np.ndarray:
         """Map rate-matched LLRs back onto the mother codeword positions."""

@@ -380,7 +380,7 @@ class Pipeline:
     def _run_flat(self, x: np.ndarray, no: float, rng: RngStream):
         s = self.num_streams
         uses = x.reshape(-1, s)  # batch and channel uses flattened
-        _, h = ch.flat_fading(uses, self.correlation, self.num_rx, rng.child(1))
+        y, h = ch.flat_fading(uses, self.correlation, self.num_rx, rng.child(1))
         if self.precoder == "zf":
             xp, g_eff = mimo_mod.zf_precode(uses, h[:, :s, :])
             y = np.einsum("brt,bt->br", h[:, :s, :], xp)
@@ -388,7 +388,6 @@ class Pipeline:
             x_hat = y / g_eff
             no_eff = no / g_eff**2
         else:
-            y = np.einsum("brt,bt->br", h, uses)
             y = ch.awgn(y, no, rng.child(2))
             x_hat, no_eff = mimo_mod.lmmse_equalize(y, h, no)
         llr = self.demap(x_hat.reshape(x.shape[0], -1),

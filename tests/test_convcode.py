@@ -8,6 +8,26 @@ from linksim.convcode import ConvCode, conv_encode, viterbi_decode
 from linksim.core import RngStream, binary_source, ebnodb2no
 
 
+def seed_conv_encode(bits, code):
+    """Frozen copy of the original step-by-step encoder: the equivalence
+    oracle."""
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    batch, k = bits.shape
+    ng = code.num_outputs
+    kk = code.constraint_length
+    table = np.array([[bin(v & g).count("1") & 1 for g in code.generators]
+                      for v in range(1 << kk)], dtype=np.uint8)
+    total = k + code.tail_bits
+    out = np.empty((batch, total, ng), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.int64)
+    for t in range(total):
+        u = bits[:, t].astype(np.int64) if t < k else np.zeros(batch, dtype=np.int64)
+        reg = (u << (kk - 1)) | state
+        out[:, t, :] = table[reg]
+        state = reg >> 1
+    return out.reshape(batch, total * ng)
+
+
 def exhaustive_ml(llr, code, k):
     """Brute-force maximum-likelihood oracle over all 2^k messages.
 
@@ -69,6 +89,20 @@ class TestConvEncode:
         code = ConvCode(constraint_length=4, generators=(0o13, 0o15, 0o17))
         out = conv_encode(binary_source([2, 10], RngStream(41)), code)
         assert out.shape == (2, 3 * (10 + 3))
+
+    @pytest.mark.parametrize("termination", ["zero-tail", "none"])
+    @pytest.mark.parametrize("constraint_length", range(2, 10))
+    def test_matches_loop_encoder(self, constraint_length, termination):
+        g = RngStream(47, constraint_length).generator()
+        for num_outputs in (2, 3, 4):
+            gens = tuple(int(v) for v in g.integers(
+                1, 1 << constraint_length, size=num_outputs))
+            code = ConvCode(constraint_length, gens, termination)
+            for batch in (1, 3, 64):
+                bits = g.integers(0, 2, size=(batch, 37), dtype=np.uint8)
+                assert np.array_equal(conv_encode(bits, code),
+                                      seed_conv_encode(bits, code)), \
+                    (gens, batch)
 
     def test_terminated_path_returns_to_zero(self):
         # Re-encoding the decoded bits of the tail section must emit the

@@ -1,12 +1,15 @@
+import importlib.resources
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linksim.alist import ParityCheckMatrix
 from linksim.channel import awgn
 from linksim.core import LLR_MAX, RngStream, binary_source, ebnodb2no, hard_decide
-from linksim.ldpc import (LIFTING_SIZES, LdpcCode5G, _edge_graph, _EdgeGraph,
-                          bp_decode, exit_mutual_information, ldpc5g_decode,
-                          ldpc5g_encode)
+from linksim.ldpc import (LIFTING_SIZES, LdpcCode5G, _base_graph, _edge_graph,
+                          _EdgeGraph, bp_decode, exit_mutual_information,
+                          ldpc5g_decode, ldpc5g_encode)
 from linksim.mapping import Constellation, demap_app, map_bits
 from linksim.sweep import SimConfig, format_csv, run_sweep
 
@@ -107,6 +110,74 @@ def seed_bp_decode(llr, pcm, num_iter=20, variant="sum-product", scale=0.75,
         final[active] = total
     llr_out = -final
     return llr_out, hard_decide(llr_out)
+
+
+SEED_BASE_GRAPHS = {1: ("ldpc_bg1.txt", 46, 68, 22),
+                    2: ("ldpc_bg2.txt", 42, 52, 10)}
+
+
+def seed_encode_full(bits, bg, z):
+    """Frozen copy of the original dense-H encoder: the equivalence oracle.
+
+    It parses the bundled base graph itself.  The one change is that the
+    dense systematic block of H is built and multiplied one base row at a
+    time, so the largest lifting sizes fit in a test's memory; every row of
+    the product is the same exact float32 sum.
+    """
+    name, m_b, _, kb = SEED_BASE_GRAPHS[bg]
+    text = importlib.resources.files("linksim.data").joinpath(name).read_text()
+    entries = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        r, c, s = (int(t) for t in line.split())
+        entries[(r, c)] = s
+
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    batch, k = bits.shape
+    k_full = kb * z
+    c_sys = np.zeros((batch, k_full), dtype=np.uint8)
+    c_sys[:, :k] = bits
+    s_blk = np.zeros((batch, m_b, z), dtype=np.uint8)
+    for row in range(m_b):
+        h_rows = np.zeros((z, k_full), dtype=np.uint8)
+        for (r, c), s in entries.items():
+            if r == row and c < kb:
+                h_rows[np.arange(z), c * z + (np.arange(z) + s) % z] ^= 1
+        s_blk[:, row] = (c_sys.astype(np.float32)
+                         @ h_rows.T.astype(np.float32)) % 2
+    ext_parity = [(r, c - kb, s % z) for (r, c), s in entries.items()
+                  if kb <= c < kb + 4 and r >= 4]
+
+    ssum = s_blk[:, 0] ^ s_blk[:, 1] ^ s_blk[:, 2] ^ s_blk[:, 3]
+    p1 = np.roll(ssum, 1, axis=-1)
+    p2 = s_blk[:, 0] ^ ssum
+    p3 = s_blk[:, 1] ^ p1 ^ p2
+    p4 = s_blk[:, 2] ^ p3
+    core = [p1, p2, p3, p4]
+    parity = np.zeros((batch, m_b * z), dtype=np.uint8)
+    parity[:, 0 * z: 1 * z] = p1
+    parity[:, 1 * z: 2 * z] = p2
+    parity[:, 2 * z: 3 * z] = p3
+    parity[:, 3 * z: 4 * z] = p4
+    ext = s_blk[:, 4:].copy()
+    for r, core_col, s_shift in ext_parity:
+        ext[:, r - 4] ^= np.roll(core[core_col], -s_shift, axis=-1)
+    parity[:, 4 * z:] = ext.reshape(batch, -1)
+    return np.concatenate([c_sys, parity], axis=-1)
+
+
+def lifted_code(bg, z, k):
+    """Code on base graph ``bg`` lifted by ``z``.
+
+    The constructor reaches only some (base graph, Z) pairs, because k
+    picks both, so this sets them directly and builds the code.
+    """
+    code = LdpcCode5G.__new__(LdpcCode5G)
+    code.k, code.n, code.base_graph, code.z = k, 2 * k, bg, z
+    code._build()
+    return code
 
 
 def bpsk_llr(bits, ebno_db, rng):
@@ -293,6 +364,53 @@ class TestLdpcCode5G:
         assert np.mean(dec != bits) < 0.02
         raw_ber = np.mean((llr > 0).astype(np.uint8) != tx)
         assert raw_ber > 0.02  # the channel itself is noisy
+
+    @pytest.mark.parametrize("bg", [1, 2])
+    def test_base_graph_structure(self, bg):
+        # The encoder relies on this: every base row has a systematic
+        # entry, the core rows 0-3 touch only the systematic and the four
+        # core parity columns, and extension row r has exactly one more
+        # entry, its own parity column kb + r with shift 0.
+        base, m_b, n_b, kb = _base_graph(bg)
+        rows, cols, shifts = base.T
+        assert not base.flags.writeable
+        assert np.all(np.diff(rows * n_b + cols) > 0)  # sorted, unique
+        assert np.array_equal(np.unique(rows[cols < kb]), np.arange(m_b))
+        assert np.all(cols[rows < 4] < kb + 4)
+        own = cols >= kb + 4
+        assert np.array_equal(rows[own], np.arange(4, m_b))
+        assert np.array_equal(cols[own], kb + rows[own])
+        assert not shifts[own].any()
+
+    @pytest.mark.parametrize("bg", [1, 2])
+    def test_encoder_matches_dense_oracle_every_lifting_size(self, bg):
+        kb = _base_graph(bg)[3]
+        rng = RngStream(600 + bg, 0).generator()
+        for z in LIFTING_SIZES:
+            for k in (kb * z, (kb - 1) * z + 1):  # none, z - 1 fillers
+                code = lifted_code(bg, z, k)
+                assert (code.z, code.k_full - code.k) == (z, kb * z - k)
+                bits = rng.integers(0, 2, size=(17, k), dtype=np.uint8)
+                ref = seed_encode_full(bits, bg, z)
+                for rows in (slice(0, 1), slice(1, 17)):  # batch 1 and 16
+                    full = code.encode_full(bits[rows])
+                    assert full.dtype == np.uint8
+                    assert np.array_equal(full, ref[rows]), (z, k, rows)
+
+    def test_encode_memory_is_bounded(self):
+        # The dense-H encoder peaked at about 598 MB here.
+        code = LdpcCode5G(8000, 9000)
+        bits = binary_source([8, 8000], RngStream(12))
+        tracemalloc.start()
+        try:
+            code.encode_full(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_no_dense_parity_check_block(self):
+        assert not hasattr(LdpcCode5G(8000, 9000), "_h_sys")
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):

@@ -383,6 +383,14 @@ class TestCli:
         monkeypatch.setenv("LINKSIM_WORKERS", "zero")
         assert main(["run", "--config", path]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_must_be_positive(self, tmp_path, capsys, workers):
+        path = self._write_config(tmp_path, base_config())
+        assert main(["run", "--config", path, "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert "--workers" in captured.err
+        assert captured.out == ""
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "linksim.cli", "info"],
                               capture_output=True, text=True)
