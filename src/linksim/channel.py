@@ -89,12 +89,11 @@ def flat_fading(x: np.ndarray, corr: Optional[CorrelationPair], num_rx: int,
     """
     x = np.atleast_2d(np.asarray(x))
     batch, num_tx = x.shape
-    if corr is None:
-        corr = CorrelationPair.identity(num_tx, num_rx)
-    if corr.r_tx.shape[0] != num_tx or corr.r_rx.shape[0] != num_rx:
-        raise ValueError("correlation dimensions do not match antennas")
-    w = complex_gaussian((batch, num_rx, num_tx), rng)
-    h = _psd_sqrt(corr.r_rx) @ w @ _psd_sqrt(corr.r_tx)
+    h = complex_gaussian((batch, num_rx, num_tx), rng)
+    if corr is not None:
+        if corr.r_tx.shape[0] != num_tx or corr.r_rx.shape[0] != num_rx:
+            raise ValueError("correlation dimensions do not match antennas")
+        h = _psd_sqrt(corr.r_rx) @ h @ _psd_sqrt(corr.r_tx)
     h = h.astype(x.dtype if np.iscomplexobj(x) else np.complex128)
     y = np.einsum("brt,bt->br", h, x)
     return y, h

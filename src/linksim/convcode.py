@@ -3,6 +3,14 @@
 Generators are octal tap masks with the MSB on the current input bit.
 Zero-tail termination appends K-1 zero bits so the trellis ends in state
 0; the decoder assumes the same termination.
+
+The Viterbi decoder runs the add-compare-select butterfly of the
+shift-register trellis (Forney, Proc. IEEE 1973): state d (the last K-1
+inputs, newest at the MSB) is entered only from states 2(d mod S/2) and
+2(d mod S/2) + 1, with input bit d >= S/2.  Branch metrics are
+sum((2c - 1) * L) under the global convention L = ln(p1/p0).  A metric
+tie goes to the lower (even) predecessor, and under termination "none" to
+the lowest end state.
 """
 
 from __future__ import annotations
@@ -44,11 +52,6 @@ class ConvCode:
         return self.constraint_length - 1 if self.termination == "zero-tail" else 0
 
 
-def _output_bits(code: ConvCode, reg: int) -> list:
-    """Encoder outputs for a full register value (input bit at the MSB)."""
-    return [bin(reg & g).count("1") & 1 for g in code.generators]
-
-
 def conv_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
     """Encode [batch, k] bits to [batch, num_outputs * (k + tail)] bits."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
@@ -74,12 +77,9 @@ def conv_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
 def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     """Maximum-likelihood sequence decoding from soft bit LLRs.
 
-    Branch metrics are sum((2c - 1) * L) under the global convention
-    L = ln(p1/p0); metric ties resolve to the lower predecessor state.
-
     Args:
         llr: [batch, num_outputs * (k + tail)] channel LLRs.
-        code: code description; zero-tail termination is assumed known.
+        code: code description; its termination is assumed known.
 
     Returns:
         [batch, k] decoded information bits.
@@ -89,58 +89,45 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     if llr.shape[1] % ng != 0:
         raise ValueError(f"LLR length {llr.shape[1]} not a multiple of {ng}")
     total = llr.shape[1] // ng
-    tail = code.tail_bits
-    k = total - tail
+    k = total - code.tail_bits
     if k < 1:
         raise ValueError("LLR sequence shorter than the termination tail")
 
     batch = llr.shape[0]
     num_states = code.num_states
-    kk = code.constraint_length
+    half = num_states // 2
 
-    # Transitions: from state s with input u, full register and successor.
-    reg = (np.arange(2)[:, None] << (kk - 1)) | np.arange(num_states)[None, :]
-    next_state = reg >> 1  # [2, S]
-    table = np.array([_output_bits(code, v) for v in range(1 << kk)], dtype=np.int8)
-    out_pm = 2.0 * table[reg] - 1.0  # [2, S, ng], +/-1 symbols
-
-    # Predecessors of each state, ordered by ascending predecessor state so
-    # that argmax ties pick the lower one.
-    preds = [[] for _ in range(num_states)]
-    for u in range(2):
-        for s in range(num_states):
-            preds[next_state[u, s]].append((s, u))
-    for p in preds:
-        p.sort()
-    pred_state = np.array([[p[i][0] for i in range(len(preds[0]))] for p in preds])
-    pred_input = np.array([[p[i][1] for i in range(len(preds[0]))] for p in preds])
+    # The branch into state d from predecessor 2(d mod S/2) + c holds the
+    # register 2d + c; label[d, c] indexes its distinct +/-1 output symbols.
+    bits = [[bin(reg & g).count("1") & 1 for g in code.generators]
+            for reg in range(2 * num_states)]
+    symbols, label = np.unique(bits, axis=0, return_inverse=True)
+    symbols = 2.0 * symbols - 1.0
+    label = label.reshape(num_states, 2)
 
     metrics = np.full((batch, num_states), -np.inf)
     metrics[:, 0] = 0.0
-    backptr = np.zeros((batch, total, num_states), dtype=np.int8)
+    backptr = np.empty((total, batch, num_states), dtype=bool)
 
     llr_steps = llr.reshape(batch, total, ng)
     for t in range(total):
-        # Branch metric for (u, s): correlation of outputs with the LLRs.
-        bm = np.einsum("usg,bg->bus", out_pm, llr_steps[:, t, :])
-        cand = metrics[:, None, :] + bm  # [batch, 2, S] indexed (u, from)
-        if t >= k:  # tail: only u = 0 allowed
-            cand[:, 1, :] = -np.inf
-        # Gather candidates per destination state in predecessor order.
-        gathered = cand[:, pred_input.T, pred_state.T]  # [batch, P, S_dest]
-        choice = np.argmax(gathered, axis=1)  # first max -> lower pred state
-        metrics = np.take_along_axis(gathered, choice[:, None, :], axis=1)[:, 0, :]
-        backptr[:, t, :] = choice
+        bm = np.einsum("lg,bg->bl", symbols, llr_steps[:, t, :])
+        pred = metrics.reshape(batch, half, 2)
+        cand = np.concatenate([pred, pred], axis=1) + bm[:, label]
+        even, odd = cand[..., 0], cand[..., 1]
+        choice = odd > even
+        metrics = np.where(choice, odd, even)
+        if t >= k:  # tail: only input 0, which enters the states below S/2
+            metrics[:, half:] = -np.inf
+        backptr[t] = choice
 
     if code.termination == "zero-tail":
-        end_state = np.zeros(batch, dtype=np.int64)
+        state = np.zeros(batch, dtype=np.int64)
     else:
-        end_state = np.argmax(metrics, axis=1)
+        state = np.argmax(metrics, axis=1)
     decisions = np.empty((batch, total), dtype=np.uint8)
     rows = np.arange(batch)
-    state = end_state
     for t in range(total - 1, -1, -1):
-        choice = backptr[rows, t, state]
-        decisions[:, t] = pred_input[state, choice]
-        state = pred_state[state, choice]
+        decisions[:, t] = state >= half
+        state = 2 * (state % half) + backptr[t, rows, state]
     return decisions[:, :k]

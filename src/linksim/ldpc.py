@@ -57,7 +57,7 @@ LIFTING_SIZES = sorted(
 # Byte budget of one [rows, edges] float64 message array.  The flooding
 # loop keeps a handful of such arrays live, so a tile of this size stays in
 # the per-core caches instead of streaming the whole batch through memory
-# every iteration; chosen with tools/bench_bp.py.
+# every iteration; chosen with `tools/bench.py bp`.
 _TILE_BYTES = 1 << 20
 
 

@@ -432,7 +432,6 @@ def run_sweep(cfg: SimConfig, num_workers: int = 1) -> SweepResult:
     """
     pipeline = build_pipeline(cfg)
     result = SweepResult(config=cfg)
-    num_workers = max(1, int(num_workers))
     consecutive_zero = 0
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=num_workers) as pool:

@@ -87,6 +87,19 @@ class TestFlatFading:
         _, h = flat_fading(x, corr, 2, RngStream(10))
         assert np.allclose(h[:, 0, :], h[:, 1, :])
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("num_rx,num_tx", [(1, 1), (2, 2), (4, 4),
+                                               (4, 2), (5, 3)])
+    def test_no_correlation_equals_identity(self, num_rx, num_tx, dtype):
+        x = complex_gaussian((300, num_tx), RngStream(11)).astype(dtype)
+        corr = CorrelationPair.identity(num_tx, num_rx)
+        for seed in (12, 13, 14):
+            y0, h0 = flat_fading(x, None, num_rx, RngStream(seed))
+            y1, h1 = flat_fading(x, corr, num_rx, RngStream(seed))
+            assert h0.dtype == h1.dtype == dtype
+            assert h0.tobytes() == h1.tobytes()
+            assert y0.tobytes() == y1.tobytes()
+
     def test_dimension_mismatch(self):
         corr = CorrelationPair.identity(2, 2)
         with pytest.raises(ValueError):

@@ -28,6 +28,61 @@ def seed_conv_encode(bits, code):
     return out.reshape(batch, total * ng)
 
 
+def seed_viterbi_decode(llr, code):
+    """Frozen copy of the original predecessor-table decoder: the
+    equivalence oracle, ties and the end-state argmax included."""
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    ng = code.num_outputs
+    total = llr.shape[1] // ng
+    k = total - code.tail_bits
+    batch = llr.shape[0]
+    num_states = code.num_states
+    kk = code.constraint_length
+
+    reg = (np.arange(2)[:, None] << (kk - 1)) | np.arange(num_states)[None, :]
+    next_state = reg >> 1  # [2, S]
+    table = np.array([[bin(v & g).count("1") & 1 for g in code.generators]
+                      for v in range(1 << kk)], dtype=np.int8)
+    out_pm = 2.0 * table[reg] - 1.0  # [2, S, ng], +/-1 symbols
+
+    preds = [[] for _ in range(num_states)]
+    for u in range(2):
+        for s in range(num_states):
+            preds[next_state[u, s]].append((s, u))
+    for p in preds:
+        p.sort()
+    pred_state = np.array([[p[i][0] for i in range(len(preds[0]))] for p in preds])
+    pred_input = np.array([[p[i][1] for i in range(len(preds[0]))] for p in preds])
+
+    metrics = np.full((batch, num_states), -np.inf)
+    metrics[:, 0] = 0.0
+    backptr = np.zeros((batch, total, num_states), dtype=np.int8)
+
+    llr_steps = llr.reshape(batch, total, ng)
+    for t in range(total):
+        bm = np.einsum("usg,bg->bus", out_pm, llr_steps[:, t, :])
+        cand = metrics[:, None, :] + bm  # [batch, 2, S] indexed (u, from)
+        if t >= k:  # tail: only u = 0 allowed
+            cand[:, 1, :] = -np.inf
+        gathered = cand[:, pred_input.T, pred_state.T]  # [batch, P, S_dest]
+        choice = np.argmax(gathered, axis=1)  # first max -> lower pred state
+        metrics = np.take_along_axis(gathered, choice[:, None, :], axis=1)[:, 0, :]
+        backptr[:, t, :] = choice
+
+    if code.termination == "zero-tail":
+        end_state = np.zeros(batch, dtype=np.int64)
+    else:
+        end_state = np.argmax(metrics, axis=1)
+    decisions = np.empty((batch, total), dtype=np.uint8)
+    rows = np.arange(batch)
+    state = end_state
+    for t in range(total - 1, -1, -1):
+        choice = backptr[rows, t, state]
+        decisions[:, t] = pred_input[state, choice]
+        state = pred_state[state, choice]
+    return decisions[:, :k]
+
+
 def exhaustive_ml(llr, code, k):
     """Brute-force maximum-likelihood oracle over all 2^k messages.
 
@@ -165,6 +220,27 @@ class TestViterbi:
         assert out.shape == (50, 40)
         llr = (2.0 * out - 1.0) * 5.0
         assert np.array_equal(viterbi_decode(llr, code), bits)
+
+    @pytest.mark.parametrize("termination", ["zero-tail", "none"])
+    @pytest.mark.parametrize("constraint_length", range(2, 10))
+    def test_matches_seed_decoder(self, constraint_length, termination):
+        # Gaussian LLRs, 0.5-grid LLRs (metric ties) and all-zero LLRs
+        # (every metric ties, the end-state argmax under "none" included).
+        g = RngStream(48, constraint_length).generator()
+        for num_outputs in (2, 3, 4, 6):
+            gens = tuple(int(v) for v in g.integers(
+                1, 1 << constraint_length, size=num_outputs))
+            code = ConvCode(constraint_length, gens, termination)
+            length = num_outputs * (30 + code.tail_bits)
+            for batch in (1, 200):
+                for llr in (g.normal(size=(batch, length)),
+                            0.5 * g.integers(-3, 4, size=(batch, length)),
+                            np.zeros((batch, length))):
+                    for dtype in (np.float32, np.float64):
+                        x = llr.astype(dtype)
+                        assert np.array_equal(viterbi_decode(x, code),
+                                              seed_viterbi_decode(x, code)), \
+                            (gens, batch, dtype)
 
     def test_length_validation(self):
         code = ConvCode()

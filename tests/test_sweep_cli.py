@@ -115,6 +115,10 @@ class TestRunSweep:
         results = [run_sweep(cfg, num_workers=w) for w in (1, 2, 5)]
         assert stats(results[0]) == stats(results[1]) == stats(results[2])
 
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError):
+            run_sweep(SimConfig.from_dict(base_config()), num_workers=0)
+
     def test_seed_changes_results(self):
         a = run_sweep(SimConfig.from_dict(base_config(seed=1)))
         b = run_sweep(SimConfig.from_dict(base_config(seed=2)))
