@@ -10,7 +10,8 @@ inputs, newest at the MSB) is entered only from states 2(d mod S/2) and
 2(d mod S/2) + 1, with input bit d >= S/2.  Branch metrics are
 sum((2c - 1) * L) under the global convention L = ln(p1/p0).  A metric
 tie goes to the lower (even) predecessor, and under termination "none" to
-the lowest end state.
+the lowest end state.  Path metrics and back-pointers are state-major
+([S, batch]), so one step is a handful of whole-array operations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Byte budget of one [steps, labels, batch] float64 block of branch
+# metrics, like the tiles of the LDPC decoder and the demapper.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,17 @@ def conv_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
 def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     """Maximum-likelihood sequence decoding from soft bit LLRs.
 
+    Path metrics are state-major, ``[S, batch]``: each trellis step is one
+    gather of the branch metrics, one broadcast add of the predecessor
+    metrics, one compare and one max over ``[2, S, batch]``.  Branch
+    metrics are computed per chunk of steps whose ``[steps, labels,
+    batch]`` block stays near ``_TILE_BYTES``, so the memory beyond the
+    ``total * S * batch`` bytes of boolean back-pointers is bounded.  The
+    LLRs are cast to float64 on entry.
+
+    NaN LLRs are outside the contract: the metric max propagates a NaN
+    that the strict comparison would have dropped.
+
     Args:
         llr: [batch, num_outputs * (k + tail)] channel LLRs.
         code: code description; its termination is assumed known.
@@ -97,37 +113,49 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     num_states = code.num_states
     half = num_states // 2
 
-    # The branch into state d from predecessor 2(d mod S/2) + c holds the
-    # register 2d + c; label[d, c] indexes its distinct +/-1 output symbols.
+    # The branch into state d = h*S/2 + j from predecessor 2j + c holds the
+    # register 2d + c; label[c, h, j] indexes its distinct +/-1 output
+    # symbols.
     bits = [[bin(reg & g).count("1") & 1 for g in code.generators]
             for reg in range(2 * num_states)]
     symbols, label = np.unique(bits, axis=0, return_inverse=True)
     symbols = 2.0 * symbols - 1.0
-    label = label.reshape(num_states, 2)
+    label = label.reshape(2, half, 2).transpose(2, 0, 1)
+    chunk = max(1, _TILE_BYTES // (8 * len(symbols) * batch))
 
-    metrics = np.full((batch, num_states), -np.inf)
-    metrics[:, 0] = 0.0
-    backptr = np.empty((total, batch, num_states), dtype=bool)
+    metrics = np.full((num_states, batch), -np.inf)
+    metrics[0] = 0.0
+    # pred[c, 0, j] is the metric row of predecessor 2j + c.
+    pred = metrics.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
+    cand = np.empty((2, 2, half, batch))
+    backptr = np.empty((total, 2, half, batch), dtype=bool)
 
     llr_steps = llr.reshape(batch, total, ng)
-    for t in range(total):
-        bm = np.einsum("lg,bg->bl", symbols, llr_steps[:, t, :])
-        pred = metrics.reshape(batch, half, 2)
-        cand = np.concatenate([pred, pred], axis=1) + bm[:, label]
-        even, odd = cand[..., 0], cand[..., 1]
-        choice = odd > even
-        metrics = np.where(choice, odd, even)
-        if t >= k:  # tail: only input 0, which enters the states below S/2
-            metrics[:, half:] = -np.inf
-        backptr[t] = choice
+    for t0 in range(0, total, chunk):
+        bm = np.einsum("lg,btg->tlb", symbols, llr_steps[:, t0:t0 + chunk])
+        for t, bm_t in enumerate(bm, t0):
+            # The labels are in range; "wrap" spares np.take the buffered
+            # copy that its bounds check makes for ``out``.
+            np.take(bm_t, label, axis=0, out=cand, mode="wrap")
+            cand += pred
+            # Strict >: a tie goes to the lower (even) predecessor.  The max
+            # keeps the same value up to the sign of a zero, which no later
+            # comparison sees.
+            np.greater(cand[1], cand[0], out=backptr[t])
+            np.maximum(cand[0], cand[1], out=metrics.reshape(2, half, batch))
+            if t >= k:  # tail: only input 0, which enters the states below S/2
+                metrics[half:] = -np.inf
 
     if code.termination == "zero-tail":
         state = np.zeros(batch, dtype=np.int64)
     else:
-        state = np.argmax(metrics, axis=1)
-    decisions = np.empty((batch, total), dtype=np.uint8)
-    rows = np.arange(batch)
+        state = np.argmax(metrics, axis=0)
+    # Row t of the flat back-pointers is indexed by state * batch + row.
+    flat = backptr.reshape(total, num_states * batch)
+    cols = np.arange(batch)
+    decisions = np.empty((total, batch), dtype=np.uint8)
     for t in range(total - 1, -1, -1):
-        decisions[:, t] = state >= half
-        state = 2 * (state % half) + backptr[t, rows, state]
-    return decisions[:, :k]
+        decisions[t] = state >= half
+        choice = flat[t].take(state * batch + cols)
+        state = ((state & (half - 1)) << 1) | choice
+    return np.ascontiguousarray(decisions[:k].T)

@@ -186,13 +186,16 @@ def _bp_tile(channel, final, g: _EdgeGraph, num_iter, variant, alpha,
     """Flooding loop over one tile; writes the total beliefs ln(p0/p1) of
     each row into ``final``."""
     total = channel.copy()
+    # The total beliefs gathered onto the edges, once per iteration: the
+    # syndrome reads their signs and the next iteration's v2c starts there.
+    te = np.take(total, g.var_idx, axis=1)
     c2v = np.zeros((len(channel), g.num_edges), dtype=channel.dtype)
     # Rows whose syndrome is already satisfied get frozen and dropped from
     # the working set, so converged rows cost nothing.
     active = np.arange(len(channel))
 
     for _ in range(num_iter):
-        v2c = total[:, g.var_idx] - c2v
+        v2c = te - c2v
 
         signs = np.signbit(v2c)
         par = np.bitwise_xor.reduceat(signs, g.chk_starts, axis=-1)
@@ -224,10 +227,11 @@ def _bp_tile(channel, final, g: _EdgeGraph, num_iter, variant, alpha,
         sums = np.add.reduceat(c2v[:, g.var_order], g.var_starts, axis=-1)
         total[:, g.var_ids] += sums
         np.clip(total, -LLR_MAX, LLR_MAX, out=total)
+        te = np.take(total, g.var_idx, axis=1)
 
         if early_stop:
-            hard_now = np.signbit(total)[:, g.var_idx]
-            syn = np.bitwise_xor.reduceat(hard_now, g.chk_starts, axis=-1)
+            syn = np.bitwise_xor.reduceat(np.signbit(te), g.chk_starts,
+                                          axis=-1)
             ok = ~np.any(syn, axis=1)
             if np.any(ok):
                 final[active[ok]] = total[ok]
@@ -237,6 +241,7 @@ def _bp_tile(channel, final, g: _EdgeGraph, num_iter, variant, alpha,
                     return
                 channel = channel[keep]
                 total = total[keep]
+                te = te[keep]
                 c2v = c2v[keep]
 
     final[active] = total

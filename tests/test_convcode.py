@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from linksim import convcode
 from linksim.channel import awgn
 from linksim.convcode import ConvCode, conv_encode, viterbi_decode
 from linksim.core import RngStream, binary_source, ebnodb2no
@@ -241,6 +243,51 @@ class TestViterbi:
                         assert np.array_equal(viterbi_decode(x, code),
                                               seed_viterbi_decode(x, code)), \
                             (gens, batch, dtype)
+
+    @pytest.mark.parametrize("termination", ["zero-tail", "none"])
+    @pytest.mark.parametrize("constraint_length, generators", [
+        (7, (0o133, 0o171)),
+        (7, (0o117, 0o127, 0o155, 0o171, 0o133, 0o165)),
+        (9, (0o561, 0o753)),
+        (9, (0o557, 0o663, 0o711, 0o561, 0o753, 0o715)),
+    ])
+    def test_chunk_boundaries_match_seed_decoder(
+            self, constraint_length, generators, termination):
+        # Branch metrics are computed per chunk of steps; step counts
+        # around and across the chunk length must not change a decision.
+        code = ConvCode(constraint_length, generators, termination)
+        batch = 128
+        labels = len({tuple(bin(reg & g).count("1") & 1 for g in generators)
+                      for reg in range(2 * code.num_states)})
+        chunk = max(1, convcode._TILE_BYTES // (8 * labels * batch))
+        g = RngStream(49, constraint_length).generator()
+        for steps in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            if steps <= code.tail_bits:
+                continue
+            length = code.num_outputs * steps
+            for llr in (g.normal(size=(batch, length)),
+                        0.5 * g.integers(-3, 4, size=(batch, length)),
+                        np.zeros((batch, length))):
+                assert np.array_equal(viterbi_decode(llr, code),
+                                      seed_viterbi_decode(llr, code)), \
+                    (steps, chunk)
+
+    def test_memory_bounded_by_back_pointers(self):
+        # K=9 with 6 independent generators: all 64 labels are distinct, so
+        # branch metrics of every step at once would take 150 MB.
+        code = ConvCode(9, (0o557, 0o663, 0o711, 0o561, 0o753, 0o715))
+        batch, steps = 128, 2298
+        llr = RngStream(50, 0).generator().normal(
+            size=(batch, code.num_outputs * steps))  # float64: no cast copy
+        k = steps - code.tail_bits
+        tracemalloc.start()
+        try:
+            out = viterbi_decode(llr, code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, k)
+        assert peak < steps * code.num_states * batch + out.nbytes + (8 << 20)
 
     def test_length_validation(self):
         code = ConvCode()

@@ -23,9 +23,11 @@ others 5) and prints the median seconds and a rate.  The groups:
   128x766 symbols with one noise variance per symbol, ``no / |h|**2``
   with Rayleigh ``h``, as the OFDM/TDL sweep passes after zero-forcing;
   8-PSK APP, 1024x250 symbols: the single-factor (non-separable) path.
-- viterbi: ``viterbi_decode`` of the K=7 (133, 171) zero-tail code on
-  LLRs from a 0.5 grid, so that path metrics tie: 64 rows of k=500, and
-  128 rows of k=2298, the shape of the benchmark's ofdm-tdl sweep.
+- viterbi: ``viterbi_decode`` of zero-tail codes on LLRs from a 0.5
+  grid, so that path metrics tie.  The K=7 (133, 171) code (64 states):
+  64 rows of k=500, and 128 rows of k=2298, the shape of the benchmark's
+  ofdm-tdl sweep; the K=9 rate-1/3 (557, 663, 711) code (256 states):
+  128 rows of k=500.
 """
 
 from __future__ import annotations
@@ -128,13 +130,15 @@ def bench_demap(repeat):
 
 def bench_viterbi(repeat):
     yield "case", "seconds", "codewords/s", "Msteps/s"
-    code = ConvCode(7, (0o133, 0o171))
-    for rows, k in ((64, 500), (128, 2298)):
+    k7 = ConvCode(7, (0o133, 0o171))
+    k9 = ConvCode(9, (0o557, 0o663, 0o711))
+    for name, code, rows, k in (("k7", k7, 64, 500), ("k7", k7, 128, 2298),
+                                ("k9-r1/3", k9, 128, 500)):
         steps = k + code.tail_bits
         g = RngStream(3, k).generator()
         llr = 0.5 * g.integers(-4, 5, size=(rows, code.num_outputs * steps))
         seconds = median_seconds(lambda: viterbi_decode(llr, code), repeat)
-        yield (f"k7-{rows}x{k}", f"{seconds:.3f}", f"{rows / seconds:.1f}",
+        yield (f"{name}-{rows}x{k}", f"{seconds:.3f}", f"{rows / seconds:.1f}",
                f"{rows * steps / seconds / 1e6:.3f}")
 
 
