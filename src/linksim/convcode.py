@@ -10,8 +10,7 @@ inputs, newest at the MSB) is entered only from states 2(d mod S/2) and
 2(d mod S/2) + 1, with input bit d >= S/2.  Branch metrics are
 sum((2c - 1) * L) under the global convention L = ln(p1/p0).  A metric
 tie goes to the lower (even) predecessor, and under termination "none" to
-the lowest end state.  Path metrics and back-pointers are state-major
-([S, batch]), so one step is a handful of whole-array operations.
+the lowest end state.
 """
 
 from __future__ import annotations
