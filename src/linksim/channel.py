@@ -238,8 +238,11 @@ def load_cir_dataset(path, batch_size: Optional[int] = None) -> Iterator[Cir]:
 
     Yields :class:`Cir` chunks of ``batch_size`` rows (the full dataset
     when omitted).  Raises :class:`CirFormatError` on manifest/payload
-    mismatch or truncation.
+    mismatch, truncation or another format version, and ``ValueError``
+    when ``batch_size < 1``.
     """
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     path = pathlib.Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -252,6 +255,9 @@ def load_cir_dataset(path, batch_size: Optional[int] = None) -> Iterator[Cir]:
     missing = required - manifest.keys()
     if missing:
         raise CirFormatError(f"manifest missing fields: {sorted(missing)}")
+    if manifest["version"] != CIR_FORMAT_VERSION:
+        raise CirFormatError(f"unsupported version {manifest['version']!r}, "
+                             f"expected {CIR_FORMAT_VERSION}")
     if manifest["dtype"] != "c64":
         raise CirFormatError(f"unsupported dtype {manifest['dtype']!r}")
     batch = int(manifest["batch"])

@@ -76,7 +76,10 @@ class PilotPattern:
 
 @dataclass
 class ResourceGrid:
-    """OFDM time-frequency layout with guards, optional DC null and pilots."""
+    """OFDM time-frequency layout with guards, optional DC null and pilots.
+
+    ``pilot_pattern=None`` becomes an empty pattern: a grid without pilots.
+    """
 
     fft_size: int
     num_symbols: int = 14
@@ -94,12 +97,13 @@ class ResourceGrid:
             raise ValueError("subcarrier_spacing must be > 0")
         if self.guard_left + self.guard_right + int(self.dc_null) >= self.fft_size:
             raise ValueError("guards leave no usable subcarriers")
-        if self.pilot_pattern is not None:
-            expected = (self.num_symbols, self.num_effective_subcarriers)
-            if self.pilot_pattern.mask.shape != expected:
-                raise ValueError(
-                    f"pilot mask shape {self.pilot_pattern.mask.shape} != {expected}"
-                )
+        expected = (self.num_symbols, self.num_effective_subcarriers)
+        if self.pilot_pattern is None:
+            self.pilot_pattern = PilotPattern(np.zeros(expected, dtype=bool), [])
+        if self.pilot_pattern.mask.shape != expected:
+            raise ValueError(
+                f"pilot mask shape {self.pilot_pattern.mask.shape} != {expected}"
+            )
 
     @property
     def num_effective_subcarriers(self) -> int:
@@ -116,7 +120,7 @@ class ResourceGrid:
 
     @property
     def num_pilot_cells(self) -> int:
-        return 0 if self.pilot_pattern is None else self.pilot_pattern.num_pilots
+        return self.pilot_pattern.num_pilots
 
     @property
     def num_data_cells(self) -> int:
@@ -125,8 +129,6 @@ class ResourceGrid:
     @property
     def pilot_cells(self) -> np.ndarray:
         """Pilot (symbol, effective subcarrier) coordinates, row-major."""
-        if self.pilot_pattern is None:
-            return np.zeros((0, 2), dtype=np.int64)
         return np.argwhere(self.pilot_pattern.mask)
 
     @property
@@ -153,14 +155,9 @@ def rg_map(data: np.ndarray, grid: ResourceGrid) -> np.ndarray:
     batch = data.shape[0]
     eff = np.zeros((batch, grid.num_symbols, grid.num_effective_subcarriers),
                    dtype=np.result_type(data.dtype, np.complex64))
-    if grid.pilot_pattern is not None:
-        pilot_mask = grid.pilot_pattern.mask
-        eff[:, pilot_mask] = grid.pilot_pattern.values
-        eff[:, ~pilot_mask] = data
-    else:
-        eff = eff.reshape(batch, -1)
-        eff[:] = data
-        eff = eff.reshape(batch, grid.num_symbols, -1)
+    pilot_mask = grid.pilot_pattern.mask
+    eff[:, pilot_mask] = grid.pilot_pattern.values
+    eff[:, ~pilot_mask] = data
     out = np.zeros((batch, grid.num_symbols, grid.fft_size), dtype=eff.dtype)
     out[:, :, grid.effective_bins] = eff
     return out
@@ -170,9 +167,6 @@ def rg_demap(grid_values: np.ndarray, grid: ResourceGrid):
     """Inverse of :func:`rg_map`: returns (data cells, pilot cells)."""
     grid_values = np.asarray(grid_values)
     eff = grid_values[:, :, grid.effective_bins]
-    if grid.pilot_pattern is None:
-        empty = np.zeros((eff.shape[0], 0), dtype=eff.dtype)
-        return eff.reshape(eff.shape[0], -1), empty
     pilot_mask = grid.pilot_pattern.mask
     return eff[:, ~pilot_mask], eff[:, pilot_mask]
 
@@ -210,7 +204,7 @@ def ls_estimate(rx_grid: np.ndarray, grid: ResourceGrid, no: float):
     Returns (h_hat, err_var): per-pilot estimates y_p / p of shape
     [batch, num_pilots] and the estimation error variances no / |p|^2.
     """
-    if grid.pilot_pattern is None or grid.num_pilot_cells == 0:
+    if grid.num_pilot_cells == 0:
         raise ValueError("ls_estimate requires a non-empty pilot pattern")
     values = grid.pilot_pattern.values
     if np.any(np.abs(values) == 0):

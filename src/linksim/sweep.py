@@ -34,8 +34,12 @@ from .mapping import Constellation, demap_app, demap_maxlog, map_bits
 from .polar import (CRC_POLYNOMIALS, crc_attach, polar5g_construct,
                     polar_encode, polar_sc_decode, polar_scl_decode)
 
-CSV_COLUMNS = ("ebno_db", "bits", "bit_errors", "ber", "blocks",
-               "block_errors", "bler", "batches", "stop_reason", "elapsed_s")
+# CSV column -> type; float columns are written with repr, so they read
+# back exactly.
+_CSV_TYPES = {"ebno_db": float, "bits": int, "bit_errors": int, "ber": float,
+              "blocks": int, "block_errors": int, "bler": float, "batches": int,
+              "stop_reason": str, "elapsed_s": float}
+CSV_COLUMNS = tuple(_CSV_TYPES)
 
 _REQUIRED = object()
 # Type of a field -> how an error names it, and its plural for list entries.
@@ -208,7 +212,7 @@ class SimConfig:
             batch_size=sweep("batch_size", 256, low=1),
             target_block_errors=sweep("target_block_errors", 100, low=1),
             max_batches_per_point=sweep("max_batches_per_point", 1000, low=1),
-            seed=fields("seed", 0),
+            seed=fields("seed", 0, low=0, high=2**64 - 1),
             precision=fields("precision", "single", ("single", "double")),
         )
         build_pipeline(cfg)  # reads and checks every other field
@@ -338,7 +342,7 @@ class Pipeline:
                 pilot_symbols=pilots("symbol_indices", [0], list, low=0,
                                      high=num_symbols - 1, item=int),
                 subcarrier_step=pilots("subcarrier_step", 1, low=1),
-                seed=pilots("seed", 0),
+                seed=pilots("seed", 0, low=0, high=2**64 - 1),
             ))
         if self.grid.num_data_cells != self.num_symbols:
             raise ConfigError(
@@ -421,70 +425,56 @@ def build_pipeline(cfg: SimConfig) -> Pipeline:
     return Pipeline(cfg)
 
 
+def _run_point(pool, pipeline, cfg, snr_idx, ebno_db, num_workers):
+    """Run one SNR point; returns (bit_errors, block_errors, batches, reason).
+
+    Batches run in waves of ``num_workers``.  Their counts are added up in
+    batch order, and the point stops at the first batch at which the block
+    errors reach ``target_block_errors``; later batches of that wave are
+    discarded.
+    """
+    bit_errors = block_errors = 0
+    for first in range(0, cfg.max_batches_per_point, num_workers):
+        wave = range(first, min(first + num_workers, cfg.max_batches_per_point))
+        futures = [pool.submit(pipeline.run_batch, ebno_db, cfg.batch_size,
+                               RngStream(cfg.seed, ((snr_idx + 1) << 32) | (b + 1)))
+                   for b in wave]
+        counts = [count_errors(*fut.result()) for fut in futures]
+        for b, (bit_err, block_err) in zip(wave, counts):
+            bit_errors += bit_err
+            block_errors += block_err
+            if block_errors >= cfg.target_block_errors:
+                return bit_errors, block_errors, b + 1, "target-errors"
+    return bit_errors, block_errors, cfg.max_batches_per_point, "max-batches"
+
+
 def run_sweep(cfg: SimConfig, num_workers: int = 1) -> SweepResult:
     """Run the configured Eb/N0 sweep.
 
-    Each SNR point simulates batches until ``target_block_errors`` is
-    reached or ``max_batches_per_point`` is exhausted.  After two
-    consecutive zero-error points, the remaining (higher) points are
-    skipped and marked "early-exit".  Results are deterministic in
+    Each SNR point simulates batches 0, 1, 2, ... and stops at the first
+    batch, in batch order, at which its block errors reach
+    ``target_block_errors``, or after ``max_batches_per_point`` batches.
+    After two consecutive zero-error points, the remaining (higher) points
+    are skipped and marked "early-exit".  Batch ``b`` of point ``i`` draws
+    from the stream ``(seed, i, b)``, so results are deterministic in
     (config, seed) regardless of ``num_workers``.
     """
     pipeline = build_pipeline(cfg)
     result = SweepResult(config=cfg)
     consecutive_zero = 0
-
     with concurrent.futures.ThreadPoolExecutor(max_workers=num_workers) as pool:
         for snr_idx, ebno_db in enumerate(cfg.snr_points):
             start = time.perf_counter()
-            if consecutive_zero >= 2:
-                result.points.append(SnrPointResult(
-                    ebno_db=ebno_db, bits=0, bit_errors=0, blocks=0,
-                    block_errors=0, batches=0, stop_reason="early-exit",
-                    elapsed_s=0.0))
-                continue
-
-            counts = []  # (bit_errors, block_errors) per batch, in order
-            stop_reason = "max-batches"
-            next_batch = 0
-            while next_batch < cfg.max_batches_per_point:
-                wave = range(next_batch,
-                             min(next_batch + num_workers,
-                                 cfg.max_batches_per_point))
-                streams = [
-                    RngStream(cfg.seed, ((snr_idx + 1) << 32) | (b + 1))
-                    for b in wave
-                ]
-                futures = [
-                    pool.submit(pipeline.run_batch, ebno_db, cfg.batch_size, s)
-                    for s in streams
-                ]
-                for fut in futures:
-                    payload, decoded = fut.result()
-                    counts.append(count_errors(payload, decoded))
-                next_batch = wave.stop
-                # Deterministic stopping: find the first batch index at
-                # which the cumulative block errors reach the target.
-                cum = 0
-                for i, (_, blk) in enumerate(counts):
-                    cum += blk
-                    if cum >= cfg.target_block_errors:
-                        counts = counts[: i + 1]
-                        stop_reason = "target-errors"
-                        break
-                if stop_reason == "target-errors":
-                    break
-
-            bit_errors = sum(c[0] for c in counts)
-            block_errors = sum(c[1] for c in counts)
-            blocks = len(counts) * cfg.batch_size
-            bits = blocks * pipeline.payload_bits
+            bit_errors, block_errors, batches, stop_reason = (
+                (0, 0, 0, "early-exit") if consecutive_zero >= 2 else
+                _run_point(pool, pipeline, cfg, snr_idx, ebno_db, num_workers))
             consecutive_zero = consecutive_zero + 1 if block_errors == 0 else 0
+            blocks = batches * cfg.batch_size
             result.points.append(SnrPointResult(
-                ebno_db=ebno_db, bits=bits, bit_errors=bit_errors,
-                blocks=blocks, block_errors=block_errors,
-                batches=len(counts), stop_reason=stop_reason,
-                elapsed_s=time.perf_counter() - start))
+                ebno_db=ebno_db, bits=blocks * pipeline.payload_bits,
+                bit_errors=bit_errors, blocks=blocks, block_errors=block_errors,
+                batches=batches, stop_reason=stop_reason,
+                elapsed_s=time.perf_counter() - start if batches else 0.0))
     return result
 
 
@@ -494,11 +484,8 @@ def format_csv(result: SweepResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for p in result.points:
-        writer.writerow([
-            repr(p.ebno_db), p.bits, p.bit_errors, repr(p.ber),
-            p.blocks, p.block_errors, repr(p.bler),
-            p.batches, p.stop_reason, repr(p.elapsed_s),
-        ])
+        writer.writerow([repr(getattr(p, c)) if kind is float else getattr(p, c)
+                         for c, kind in _CSV_TYPES.items()])
     return buf.getvalue()
 
 
@@ -514,19 +501,9 @@ def write_csv(result: SweepResult, path) -> None:
 
 def read_csv(path) -> list:
     """Re-parse a sweep CSV into a list of dicts (numbers converted)."""
-    out = []
     with open(path, "r", encoding="ascii", newline="") as f:
         reader = csv.DictReader(f)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        for row in reader:
-            parsed = {}
-            for key, value in row.items():
-                if key in ("stop_reason",):
-                    parsed[key] = value
-                elif key in ("ebno_db", "ber", "bler", "elapsed_s"):
-                    parsed[key] = float(value)
-                else:
-                    parsed[key] = int(value)
-            out.append(parsed)
-    return out
+        return [{key: _CSV_TYPES[key](value) for key, value in row.items()}
+                for row in reader]

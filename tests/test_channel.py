@@ -238,3 +238,24 @@ class TestCirDataset:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(CirFormatError):
             list(load_cir_dataset(tmp_path / "ds"))
+
+    @pytest.mark.parametrize("version", [0, 2, 99, "1"])
+    def test_other_version_rejected(self, tmp_path, version):
+        import json
+        cir = generate_tdl_cir(TdlProfile(powers=[1.0], delays=[0.0]),
+                               2, 2, 1e-3, 1e6, RngStream(20))
+        save_cir_dataset(cir, tmp_path / "ds")
+        mpath = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["version"] = version
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CirFormatError, match="version"):
+            list(load_cir_dataset(tmp_path / "ds"))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, tmp_path, batch_size):
+        cir = generate_tdl_cir(TdlProfile(powers=[1.0], delays=[0.0]),
+                               2, 2, 1e-3, 1e6, RngStream(21))
+        save_cir_dataset(cir, tmp_path / "ds")
+        with pytest.raises(ValueError, match="batch_size"):
+            list(load_cir_dataset(tmp_path / "ds", batch_size=batch_size))

@@ -115,6 +115,18 @@ class TestRgMapDemap:
         with pytest.raises(ValueError):
             rg_map(np.zeros((1, 5), dtype=complex), grid)
 
+    def test_round_trip_without_pilots(self):
+        # Data fills every effective cell in symbol-major order.
+        grid = ResourceGrid(fft_size=8, num_symbols=2, guard_left=1,
+                            guard_right=1, dc_null=True)
+        assert grid.num_pilot_cells == 0 and grid.pilot_cells.shape == (0, 2)
+        data = random_data(grid, 3, 5)
+        mapped = rg_map(data, grid)
+        assert np.array_equal(
+            mapped[:, :, grid.effective_bins].reshape(3, -1), data)
+        out, pilots = rg_demap(mapped, grid)
+        assert np.array_equal(out, data) and pilots.shape == (3, 0)
+
 
 class TestOfdmModem:
     def test_round_trip_identity(self):
@@ -198,6 +210,11 @@ class TestChannelEstimation:
         grid = ResourceGrid(fft_size=8, num_symbols=2)
         with pytest.raises(ValueError):
             ls_estimate(np.zeros((1, 2, 8), dtype=complex), grid, 0.1)
+
+    def test_nn_interpolate_requires_pilots(self):
+        grid = ResourceGrid(fft_size=8, num_symbols=2)
+        with pytest.raises(ValueError):
+            nn_interpolate(np.zeros((1, 0), dtype=complex), grid)
 
     def test_nn_interpolation_copies_nearest(self):
         pattern = PilotPattern.regular(3, 4, pilot_symbols=[0],

@@ -187,6 +187,29 @@ class TestCsv:
             assert row["ber"] == p.ber  # repr round trip is exact
             assert row["stop_reason"] == p.stop_reason
 
+    # 6 dB stops at batch 2, mid-wave at 3 workers; 40 dB follows two
+    # clean points and exits early.
+    GOLDEN = (
+        "ebno_db,bits,bit_errors,ber,blocks,block_errors,bler,batches,stop_reason\n"
+        "0.0,3200,259,0.0809375,32,32,1.0,1,target-errors\n"
+        "6.0,6400,16,0.0025,64,14,0.21875,2,target-errors\n"
+        "30.0,9600,0,0.0,96,0,0.0,3,max-batches\n"
+        "35.0,9600,0,0.0,96,0,0.0,3,max-batches\n"
+        "40.0,0,0,0.0,0,0,0.0,0,early-exit\n"
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_golden_csv_and_full_round_trip(self, tmp_path, workers):
+        cfg = set_fields(base_config(), {"sweep.ebno_db": [0, 6, 30, 35, 40]})
+        result = run_sweep(SimConfig.from_dict(cfg), num_workers=workers)
+        text = format_csv(result)
+        assert "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in text.splitlines()) == self.GOLDEN
+        path = tmp_path / "out.csv"
+        write_csv(result, path)
+        assert read_csv(path) == [{c: getattr(p, c) for c in CSV_COLUMNS}
+                                  for p in result.points]
+
     def test_header_line(self, tmp_path):
         cfg = SimConfig.from_dict(base_config())
         text = format_csv(run_sweep(cfg))
@@ -246,6 +269,21 @@ class TestCli:
         out2 = capsys.readouterr().out
         assert out1 != out2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_run_seed_override_out_of_range(self, tmp_path, capsys, seed):
+        path = self._write_config(tmp_path, base_config())
+        assert main(["run", "--config", path, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "seed:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_run_accepts_seed_range_ends(self, tmp_path, seed):
+        cfg = set_fields(base_config(), {**TDL, "seed": seed,
+                                         "ofdm.pilots.seed": seed})
+        path = self._write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out",
+                     str(tmp_path / "out.csv")]) == 0
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -295,6 +333,8 @@ class TestCli:
         ("sweep.max_batches_per_point", True),
         ("sweep.max_batches_per_point", 2.5),
         ("sweep.max_batches_per_point", -1),
+        ("seed", -1),
+        ("seed", 2**64),
     ])
     def test_run_rejects_bad_integer_fields(self, tmp_path, capsys,
                                             fieldname, value):
@@ -341,6 +381,8 @@ class TestCli:
         ({"ofdm": {"enabled": True}}, "ofdm.enabled"),
         ({"mimo": {"enabled": True}}, "mimo.enabled"),
         ({**FLAT, "mimo.num_tx": 4}, "mimo.num_tx"),
+        ({**TDL, "ofdm.pilots.seed": -1}, "ofdm.pilots.seed"),
+        ({**TDL, "ofdm.pilots.seed": 2**64}, "ofdm.pilots.seed"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
