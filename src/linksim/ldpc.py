@@ -325,10 +325,8 @@ class LdpcCode5G:
         kb = _base_graph(self.base_graph)[3]
         if self.k > kb * 384:
             raise ValueError(f"k={self.k} too large for both base graphs")
-        z = next((z for z in LIFTING_SIZES if kb * z >= self.k), None)
-        if z is None:
-            raise ValueError(f"no lifting size supports k={self.k}")
-        self.z = z
+        # 384 is a lifting size, so the check above leaves one to find.
+        self.z = next(z for z in LIFTING_SIZES if kb * z >= self.k)
         self._build()
 
     def _build(self):

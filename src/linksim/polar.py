@@ -9,18 +9,17 @@ codes reuse the same machinery with a row-weight information set.
 The CRC remainder is one GF(2) matrix product with the table of
 x^j mod g (the CRC has zero initial state, so it is linear).
 
+SC and SCL decoding run one recursive walk of the code tree over
+[batch, paths, n] LLRs and differ only in the leaf that decides a bit.
 The list decoder copies no path state when paths split (the lazy copy
-of Tal & Vardy, "List Decoding of Polar Codes", IEEE T-IT 2015).  Each
-depth keeps a small [batch, L] index of the stored row that holds each
-path.  An information leaf composes these indices with the surviving
-parents instead of permuting the LLR and partial-sum arrays, and a level
-is gathered through its index only when a descent or a partial-sum step
-reads it; levels are written fresh in path order.  Decisions are not
-copied either: each information leaf records its bits and parents, and
-the final paths are traced back once.  The arithmetic on each path is
-the same float64 expressions in the same order as with physical copies,
-and the candidates are ranked by the same stable sort, so the decisions
-are bit-identical to those of the copying decoder.
+of Tal & Vardy, "List Decoding of Polar Codes", IEEE T-IT 2015): a
+leaf returns the parent of each surviving path, and a node gathers its
+LLRs and left partial sums through those parents only when a child
+returns them; a level shared by all paths is never gathered.  The
+decisions are the polar transform of the root's partial sums, so there
+is no traceback.  The arithmetic on each path and the stable ranking of
+candidates are those of a decoder that copies every path, so the
+decisions are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from .core import hard_decide
 
 _MAX_N = 1024
 
@@ -135,6 +132,7 @@ class PolarCode:
     frozen_set: np.ndarray
     crc: Optional[CrcPolynomial] = None
     info_set: np.ndarray = field(init=False)
+    frozen_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.block_length
@@ -144,9 +142,9 @@ class PolarCode:
         if len(frozen) and (frozen.min() < 0 or frozen.max() >= n):
             raise ValueError("frozen index out of range")
         self.frozen_set = frozen
-        mask = np.ones(n, dtype=bool)
-        mask[frozen] = False
-        self.info_set = np.nonzero(mask)[0]
+        self.frozen_mask = np.zeros(n, dtype=bool)
+        self.frozen_mask[frozen] = True
+        self.info_set = np.nonzero(~self.frozen_mask)[0]
 
     @property
     def k(self) -> int:
@@ -228,23 +226,40 @@ def _f_exact(a, b):
     )
 
 
-def _sc_recurse(alpha, frozen_mask, f_func):
-    """SC recursion on internal ln(p0/p1) LLRs; returns (u, beta)."""
+def _walk(alpha, frozen, f_func, leaf):
+    """Successive cancellation below one node of the code tree.
+
+    ``alpha`` holds the node's [batch, paths, n] ln(p0/p1) LLRs; a path
+    axis of 1 is shared by all paths.  ``leaf(a, frozen)`` decides the
+    bits of one leaf from its [batch, paths] LLRs and returns them with a
+    parent map.  Returns ``(beta, parent)``: the node's partial sums in
+    the path order at exit, and for each path at exit its row at entry in
+    the [batch * paths, n] view, or ``None`` when no path moved.
+    """
     n = alpha.shape[-1]
     if n == 1:
-        if frozen_mask[0]:
-            u = np.zeros(alpha.shape[:-1] + (1,), dtype=np.uint8)
-        else:
-            u = (alpha < 0).astype(np.uint8)
-        return u, u.copy()
+        bits, parent = leaf(alpha[..., 0], frozen[0])
+        return bits[..., None], parent
     h = n // 2
+    beta_left, parent = _walk(f_func(alpha[..., :h], alpha[..., h:]),
+                              frozen[:h], f_func, leaf)
+    if parent is not None and alpha.shape[1] > 1:
+        alpha = np.take(alpha.reshape(parent.size, -1), parent, axis=0)
     a, b = alpha[..., :h], alpha[..., h:]
-    u_left, beta_left = _sc_recurse(f_func(a, b), frozen_mask[:h], f_func)
-    g = b + (1.0 - 2.0 * beta_left) * a
-    u_right, beta_right = _sc_recurse(g, frozen_mask[h:], f_func)
-    u = np.concatenate([u_left, u_right], axis=-1)
-    beta = np.concatenate([beta_left ^ beta_right, beta_right], axis=-1)
-    return u, beta
+    beta_right, moved = _walk(b + (1.0 - 2.0 * beta_left) * a,
+                              frozen[h:], f_func, leaf)
+    if moved is not None:
+        if beta_left.shape[1] > 1:
+            beta_left = np.take(beta_left.reshape(moved.size, -1), moved, axis=0)
+        parent = moved if parent is None else np.take(parent, moved)
+    return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1), parent
+
+
+def _check_llr(llr: np.ndarray, code: PolarCode) -> np.ndarray:
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    if llr.shape[-1] != code.block_length:
+        raise ValueError(f"expected {code.block_length} LLRs, got {llr.shape[-1]}")
+    return llr
 
 
 def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np.ndarray:
@@ -253,20 +268,14 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
     Uses the min-sum f update by default; ``exact=True`` switches to the
     exact boxplus.
     """
-    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
-    n = code.block_length
-    if llr.shape[-1] != n:
-        raise ValueError(f"expected {n} LLRs, got {llr.shape[-1]}")
-    frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[code.frozen_set] = True
-    # Internal sign convention is ln(p0/p1).
-    u, _ = _sc_recurse(-llr, frozen_mask, _f_exact if exact else _f_minsum)
-    return u[:, code.info_set]
+    llr = _check_llr(llr, code)
 
+    def leaf(a, frozen):
+        return np.zeros(a.shape, np.uint8) if frozen else (a < 0).view(np.uint8), None
 
-def _gather(level: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``level`` [batch, L, width] read at the flat rows ``index`` [batch, L]."""
-    return np.take(level.reshape(index.size, -1), index, axis=0)
+    beta, _ = _walk(-llr[:, None, :], code.frozen_mask,
+                    _f_exact if exact else _f_minsum, leaf)
+    return polar_transform(beta)[:, 0, code.info_set]
 
 
 def polar_scl_decode(
@@ -287,89 +296,33 @@ def polar_scl_decode(
         raise ValueError("list_size must be >= 1")
     if use_crc and code.crc is None:
         raise ValueError("use_crc requires a code constructed with a CRC")
-    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
-    n = code.block_length
-    if llr.shape[-1] != n:
-        raise ValueError(f"expected {n} LLRs, got {llr.shape[-1]}")
-
+    llr = _check_llr(llr, code)
     batch = llr.shape[0]
-    stages = code.num_stages
-    size = list_size
-    f_func = _f_exact if exact else _f_minsum
-    frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[code.frozen_set] = True
-
-    # alpha[d]: LLRs of the active node at depth d, [batch, L, n >> d];
-    # alpha[0] is the channel LLR in internal ln(p0/p1), shared by all paths.
-    alpha = [np.broadcast_to(-llr[:, None, :], (batch, size, n))] + [None] * stages
-    # beta_store[d]: completed left-child partial sums at depth d.
-    beta_store = [None] * (stages + 1)
-    # path[d, b, l]: the row of alpha[d] and beta_store[d], flattened to
-    # [batch * L, width], that holds path l of batch row b.
-    rows = np.arange(batch)[:, None]
-    identity = rows * size + np.arange(size)
-    path = np.broadcast_to(identity, (stages + 1, batch, size)).copy()
-    metrics = np.full((batch, size), np.inf)
+    metrics = np.full((batch, list_size), np.inf)
     metrics[:, 0] = 0.0
-    bits, srcs = [], []  # per info leaf: the bit and the surviving parent
+    first_row = np.arange(0, batch * list_size, list_size)[:, None]
 
-    for leaf in range(n):
-        # Descend from the deepest ancestor shared with the previous leaf,
-        # writing every level below it fresh, in path order.
-        top = stages - (leaf ^ (leaf - 1)).bit_length() if leaf else 0
-        a = _gather(alpha[top], path[top]) if top else alpha[0]
-        for d in range(top, stages):
-            h = a.shape[-1] // 2
-            left, right = a[..., :h], a[..., h:]
-            if (leaf >> (stages - d - 1)) & 1:
-                # The previous leaf wrote beta_store[d + 1], in path order.
-                a = right + (1.0 - 2.0 * beta_store[d + 1]) * left
-            else:
-                a = f_func(left, right)
-            alpha[d + 1] = a
-        path[top + 1:] = identity
+    def leaf(a, frozen):
+        nonlocal metrics
+        pen0 = np.maximum(-a, 0.0)  # decide 0 against a negative LLR
+        if frozen:
+            metrics = metrics + pen0
+            return np.zeros(a.shape, np.uint8), None
+        # Candidate order (path, bit): the stable sort keeps the lower
+        # path index on metric ties.
+        cand = np.stack([metrics + pen0, metrics + np.maximum(a, 0.0)], axis=-1)
+        cand = cand.reshape(batch, 2 * list_size)
+        order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
+        metrics = np.take_along_axis(cand, order, axis=1)
+        return (order & 1).astype(np.uint8), (order >> 1) + first_row
 
-        a = a[..., 0]  # [batch, L]
-        if frozen_mask[leaf]:
-            metrics = metrics + np.maximum(-a, 0.0)
-            beta_leaf = np.zeros((batch, size, 1), dtype=np.uint8)
-        else:
-            pen0 = np.maximum(-a, 0.0)  # decide 0 against a negative LLR
-            pen1 = np.maximum(a, 0.0)
-            # Candidate order (path, bit): stable sort keeps lower path
-            # index on metric ties.
-            cand = np.stack([metrics + pen0, metrics + pen1], axis=-1)
-            cand = cand.reshape(batch, 2 * size)
-            order = np.argsort(cand, axis=1, kind="stable")[:, :size]
-            src = order >> 1
-            bit = (order & 1).astype(np.uint8)
-            metrics = np.take_along_axis(cand, order, axis=1)
-            # Path l now continues path src[l]: compose, copy nothing.
-            path = path[:, rows, src]
-            bits.append(bit)
-            srcs.append(src)
-            beta_leaf = bit[..., None]
-
-        # Propagate partial sums up while leaving right children.
-        b_cur = beta_leaf
-        depth = stages
-        while depth > 0 and (leaf >> (stages - depth)) & 1:
-            left = _gather(beta_store[depth], path[depth])
-            b_cur = np.concatenate([left ^ b_cur, b_cur], axis=-1)
-            depth -= 1
-        if depth > 0:
-            beta_store[depth] = b_cur
-            path[depth] = identity
-
-    # Trace each final path back through its parents to read its bits.
-    decisions = np.empty((batch, size, len(bits)), dtype=np.uint8)  # [batch, L, k]
-    cur = np.broadcast_to(np.arange(size), (batch, size))
-    for j in range(len(bits) - 1, -1, -1):
-        decisions[:, :, j] = np.take_along_axis(bits[j], cur, axis=1)
-        cur = np.take_along_axis(srcs[j], cur, axis=1)
+    beta, _ = _walk(-llr[:, None, :], code.frozen_mask,
+                    _f_exact if exact else _f_minsum, leaf)
+    # The transform is its own inverse: it maps partial sums back to bits.
+    decisions = polar_transform(beta)[..., code.info_set]
     if use_crc:
-        flat = decisions.reshape(batch * size, -1)
-        valid = crc_check(flat, code.crc).reshape(batch, size)
+        flat = decisions.reshape(batch * list_size, -1)
+        valid = crc_check(flat, code.crc).reshape(batch, list_size)
         gated = np.where(valid, metrics, np.inf)
         has_valid = np.any(valid, axis=1)
         best = np.where(has_valid, np.argmin(gated, axis=1), np.argmin(metrics, axis=1))

@@ -279,7 +279,8 @@ class Pipeline:
         self.num_symbols = self.coded_bits // self.m
 
         # Channel kind -> the stage section it needs and the method that
-        # reads it and returns the per-batch channel and demapping step.
+        # reads it and returns the per-batch channel step, which maps the
+        # symbols to their estimates and noise variance for the demapper.
         channels = {"awgn": (None, lambda chan, stage: self._run_awgn),
                     "flat": ("mimo", self._init_mimo),
                     "tdl": ("ofdm", self._init_ofdm_tdl)}
@@ -375,11 +376,12 @@ class Pipeline:
         no = ebnodb2no(ebno_db, self.m, self.coderate)
         payload = binary_source([batch_size, self.payload_bits], rng.child(0))
         x = map_bits(self.encode(payload), self.constellation).astype(self.cdtype)
-        llr = self.channel(x, no, rng)
+        x_hat, no_eff = self.channel(x, no, rng)
+        llr = self.demap(x_hat, no_eff, self.constellation)
         return payload, self.decode(np.asarray(llr, dtype=self.ldtype))
 
     def _run_awgn(self, x: np.ndarray, no: float, rng: RngStream):
-        return self.demap(ch.awgn(x, no, rng.child(2)), no, self.constellation)
+        return ch.awgn(x, no, rng.child(2)), no
 
     def _run_flat(self, x: np.ndarray, no: float, rng: RngStream):
         s = self.num_streams
@@ -394,10 +396,7 @@ class Pipeline:
         else:
             y = ch.awgn(y, no, rng.child(2))
             x_hat, no_eff = mimo_mod.lmmse_equalize(y, h, no)
-        llr = self.demap(x_hat.reshape(x.shape[0], -1),
-                         no_eff.reshape(x.shape[0], -1),
-                         self.constellation)
-        return llr
+        return x_hat.reshape(x.shape[0], -1), no_eff.reshape(x.shape[0], -1)
 
     def _run_tdl(self, x: np.ndarray, no: float, rng: RngStream):
         grid = self.grid
@@ -416,9 +415,7 @@ class Pipeline:
         h_full = ofdm_mod.nn_interpolate(h_pilots, grid)
         data, _ = ofdm_mod.rg_demap(grid_rx, grid)
         h_data = h_full[:, ~grid.pilot_pattern.mask]
-        x_hat = data / h_data
-        no_eff = no / np.abs(h_data) ** 2
-        return self.demap(x_hat, no_eff, self.constellation)
+        return data / h_data, no / np.abs(h_data) ** 2
 
 
 def build_pipeline(cfg: SimConfig) -> Pipeline:
@@ -505,5 +502,11 @@ def read_csv(path) -> list:
         reader = csv.DictReader(f)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        return [{key: _CSV_TYPES[key](value) for key, value in row.items()}
-                for row in reader]
+        rows = []
+        for row in reader:
+            # DictReader files extra cells under None and fills missing ones with None.
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 f"{len(CSV_COLUMNS)} cells")
+            rows.append({key: _CSV_TYPES[key](value) for key, value in row.items()})
+        return rows

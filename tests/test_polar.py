@@ -436,3 +436,69 @@ class TestSclMatchesOracle:
         one, two = (strip(format_csv(run_sweep(cfg, num_workers=w)))
                     for w in (1, 2))
         assert one == two
+
+
+# -- oracle: the recursive SC decoder that returned its decisions ----------
+
+def seed_sc_decode(llr, code, exact=False):
+    """SC that concatenates the leaf decisions of its recursion."""
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    frozen_mask = np.zeros(code.block_length, dtype=bool)
+    frozen_mask[code.frozen_set] = True
+    f_func = _f_exact if exact else _f_minsum
+
+    def recurse(alpha, frozen):
+        n = alpha.shape[-1]
+        if n == 1:
+            if frozen[0]:
+                u = np.zeros(alpha.shape[:-1] + (1,), dtype=np.uint8)
+            else:
+                u = (alpha < 0).astype(np.uint8)
+            return u, u.copy()
+        h = n // 2
+        a, b = alpha[..., :h], alpha[..., h:]
+        u_left, beta_left = recurse(f_func(a, b), frozen[:h])
+        g = b + (1.0 - 2.0 * beta_left) * a
+        u_right, beta_right = recurse(g, frozen[h:])
+        return (np.concatenate([u_left, u_right], axis=-1),
+                np.concatenate([beta_left ^ beta_right, beta_right], axis=-1))
+
+    u, _ = recurse(-llr, frozen_mask)
+    return u[:, code.info_set]
+
+
+def _sc_cases():
+    """(label, code) pairs: random polar5g codes n = 2..1024 and
+    Reed-Muller codes, RM(3, 3) (nothing frozen) included."""
+    g = np.random.default_rng(50)
+    cases = []
+    for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        k = int(g.integers(1, n))
+        cases.append((f"polar-{k}-{n}", polar5g_construct(k, n)))
+    for r, m in ((0, 4), (1, 3), (2, 5), (3, 6), (3, 3)):
+        cases.append((f"rm-{r}-{m}", rm_construct(r, m)))
+    return cases
+
+
+SC_CASES = _sc_cases()
+
+
+class TestScMatchesOracle:
+    """SC returns the bits of the recursion that concatenated decisions."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("label,code", SC_CASES,
+                             ids=[label for label, _ in SC_CASES])
+    def test_bit_identical(self, label, code, exact):
+        n = code.block_length
+        g = np.random.default_rng(n + exact)
+        for batch in (1, 37):
+            words = polar_encode(
+                g.integers(0, 2, size=(batch, code.k), dtype=np.uint8), code)
+            llr = 2.0 * (2.0 * words - 1.0) + 2.5 * g.standard_normal((batch, n))
+            llr = np.round(2.0 * llr) / 2.0  # a 0.5 grid
+            llr[g.random((batch, n)) < 0.1] = 0.0  # and zero LLRs
+            got = polar_sc_decode(llr, code, exact=exact)
+            want = seed_sc_decode(llr, code, exact=exact)
+            assert got.dtype == want.dtype == np.uint8
+            assert np.array_equal(got, want), batch

@@ -221,6 +221,20 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    ROW = "0.0,200,3,0.015,2,1,0.5,1,max-batches,0.25"
+
+    def test_read_rejects_row_with_extra_cell(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"{','.join(CSV_COLUMNS)}\n{self.ROW},0.5\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_csv(path)
+
+    def test_read_rejects_row_with_missing_cell(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"{','.join(CSV_COLUMNS)}\n{self.ROW.rsplit(',', 1)[0]}\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_csv(path)
+
 
 class TestCli:
     def _write_config(self, tmp_path, cfg):
