@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Byte budget of one [steps, labels, batch] float64 block of branch
-# metrics, like the tiles of the LDPC decoder and the demapper.
-_TILE_BYTES = 1 << 20
+from .core import TILE_BYTES as _TILE_BYTES, tile_rows
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     symbols, label = np.unique(bits, axis=0, return_inverse=True)
     symbols = 2.0 * symbols - 1.0
     label = label.reshape(2, half, 2).transpose(2, 0, 1)
-    chunk = max(1, _TILE_BYTES // (8 * len(symbols) * batch))
+    chunk = tile_rows(8 * len(symbols) * batch)
 
     metrics = np.full((num_states, batch), -np.inf)
     metrics[0] = 0.0

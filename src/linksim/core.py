@@ -17,6 +17,13 @@ import numpy as np
 # L = ln(Pr(b=1) / Pr(b=0)), hard decision 1 iff L > 0 (ties decide 0).
 LLR_MAX = 40.0
 
+# Byte budget of one tile of a large batched temporary: the LDPC decoder's
+# edge messages, the demapper's subset tensor and the Viterbi branch
+# metrics.  The loops over such tiles keep a handful of them live, so a
+# tile of this size stays in the per-core caches; chosen with
+# `tools/bench.py`.
+TILE_BYTES = 1 << 20
+
 _MASK64 = (1 << 64) - 1
 # Odd multiplier (golden-ratio based) used to derive child stream ids.
 _STREAM_MIX = 0x9E3779B97F4A7C15
@@ -97,6 +104,12 @@ def count_errors(b: np.ndarray, b_hat: np.ndarray) -> tuple[int, int]:
     _check_same_shape(b, b_hat, "count_errors")
     diff = (b != b_hat).reshape(b.shape[0], -1)
     return int(diff.sum()), int(np.any(diff, axis=1).sum())
+
+
+def tile_rows(bytes_per_row: int) -> int:
+    """Rows of ``bytes_per_row`` bytes each that fit ``TILE_BYTES``; at
+    least one."""
+    return max(1, TILE_BYTES // bytes_per_row)
 
 
 def hard_decide(llr: np.ndarray) -> np.ndarray:

@@ -10,11 +10,19 @@ buffer.
 
 Two things keep decoding cheap:
 
-- Row tiles.  BP runs over tiles of the batch sized so one ``[rows,
-  edges]`` float64 message array takes about 1 MB and stays in cache,
-  and updates its messages in place.  Rows are independent (early
-  stopping included), so the output is bit for bit the same as decoding
-  the whole batch at once.
+- Row tiles in an edge-major layout.  BP runs over tiles of the batch
+  sized so one float64 message array takes about 1 MB and stays in
+  cache.  Rows are independent (early stopping included), so the output
+  is bit for bit the same as decoding the whole batch at once.  Each tile
+  runs transposed, with messages ``[edges, rows]`` and the edges grouped
+  by check degree and then by position within the check, so all checks of
+  degree d form one ``[d, checks, rows]`` block.  A check reduction is a
+  few whole-block operations over its d slabs, and the spread back onto
+  the edges is a broadcast; a gather table lays the messages out as
+  ``[d_v, vars, rows]`` per variable degree for the variable sums.  The
+  sums add in the order ``np.add.reduceat`` uses on the check-by-check
+  edge list (:func:`_reduceat_sum`), so the output is byte for byte that
+  of a row-major ``[rows, edges]`` decoder with per-check ``reduceat``.
 - A pruned graph.  :class:`LdpcCode5G` builds its decoding graph once:
   the mother graph without the punctured degree-1 parity nodes that rate
   matching never sends, and without their checks (as in 3GPP TS 38.212
@@ -43,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alist import ParityCheckMatrix
-from .core import LLR_MAX, hard_decide
+from .core import LLR_MAX, tile_rows
 
 BP_VARIANTS = ("sum-product", "min-sum", "scaled-min-sum")
 
@@ -54,40 +62,66 @@ LIFTING_SIZES = sorted(
 )
 
 
-# Byte budget of one [rows, edges] float64 message array.  The flooding
-# loop keeps a handful of such arrays live, so a tile of this size stays in
-# the per-core caches instead of streaming the whole batch through memory
-# every iteration; chosen with `tools/bench.py bp`.
-_TILE_BYTES = 1 << 20
-
-
 class _EdgeGraph:
-    """Flat edge arrays for vectorized flooding-schedule message passing.
+    """Edge tables for vectorized flooding-schedule message passing.
 
-    Edges are listed check by check, checks ascending and variables
-    ascending within a check.  Every check needs at least one edge.  The
-    arrays are read-only, so one graph can be shared by worker threads.
+    ``var_idx`` lists the edges check by check, checks ascending and
+    variables ascending within a check, in segments of ``chk_deg`` edges
+    starting at ``chk_starts``.  A check without edges constrains nothing
+    and is dropped.  BP runs in an edge-major order of the same edges:
+
+    - ``chk_classes`` holds one ``(d, lo, hi)`` per check degree d.  The
+      edges ``lo:hi`` of that order are the class's checks' edges,
+      position-major: edge j of the class's c-th check (checks ascending)
+      sits at ``lo + j * (hi - lo) // d + c``.  ``edge_var`` is the
+      variable of each edge.
+    - ``var_classes`` holds one ``(vids, gather)`` per variable degree:
+      the variables ``vids`` of that degree, ascending, and a ``[d_v,
+      len(vids)]`` table of where their edges sit in the edge-major order,
+      checks ascending.
+
+    The arrays are read-only, so one graph can be shared by worker threads.
     """
 
     def __init__(self, n: int, chk_deg: np.ndarray, var_idx: np.ndarray):
+        chk_deg = np.asarray(chk_deg, dtype=np.int64)
         self.n = n
-        self.m = len(chk_deg)
+        self.chk_deg = chk_deg[chk_deg > 0]
+        self.m = len(self.chk_deg)
         self.var_idx = np.asarray(var_idx, dtype=np.int64)
-        # Per-check values are spread onto their edges with np.repeat over
-        # chk_deg, which is faster than a gather.
-        self.chk_deg = np.asarray(chk_deg, dtype=np.int64)
         self.chk_starts = np.cumsum(self.chk_deg) - self.chk_deg
         self.num_edges = len(self.var_idx)
-        # Edge order grouped by variable, for segment sums over each
-        # variable's incident edges (np.add.at is far slower).
-        self.var_order = np.argsort(self.var_idx, kind="stable")
-        sorted_vars = self.var_idx[self.var_order]
-        boundaries = np.flatnonzero(np.diff(sorted_vars)) + 1
-        self.var_starts = np.concatenate([[0], boundaries])
-        self.var_ids = sorted_vars[self.var_starts]
-        self.tile_rows = max(1, _TILE_BYTES // (8 * max(1, self.num_edges)))
+        self.tile_rows = tile_rows(8 * max(1, self.num_edges))
+
+        edges = np.arange(self.num_edges)
+        chk = np.repeat(np.arange(self.m), self.chk_deg)
+        order = np.lexsort((chk, edges - self.chk_starts[chk],
+                            self.chk_deg[chk]))
+        self.edge_var = self.var_idx[order]
+        # Degree classes by bincount: np.unique would import numpy.ma, which
+        # costs about a megabyte and tens of milliseconds of set-up.
+        counts = np.bincount(self.chk_deg)
+        degrees = np.flatnonzero(counts)
+        sizes = degrees * counts[degrees]
+        ends = np.cumsum(sizes)
+        self.chk_classes = tuple(zip(degrees.tolist(),
+                                     (ends - sizes).tolist(), ends.tolist()))
+
+        position = np.empty_like(order)
+        position[order] = edges
+        # Edges grouped by variable, checks ascending within a variable.
+        by_var = position[np.argsort(self.var_idx, kind="stable")]
+        var_deg = np.bincount(self.var_idx, minlength=n)
+        var_starts = np.cumsum(var_deg) - var_deg
+        self.var_classes = tuple(
+            (vids, by_var[var_starts[vids] + np.arange(d)[:, None]])
+            for d in np.flatnonzero(np.bincount(var_deg)[1:]) + 1
+            for vids in [np.flatnonzero(var_deg == d)])
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        for table in self.var_classes:
+            for value in table:
                 value.flags.writeable = False
 
     @classmethod
@@ -101,30 +135,55 @@ class _EdgeGraph:
 _edge_graph = _EdgeGraph.from_pcm
 
 
-def _segment_min2(mag: np.ndarray, starts: np.ndarray, deg: np.ndarray):
-    """Per-segment (min, runner-up min, is-the-min mask) along the last axis."""
-    min1 = np.minimum.reduceat(mag, starts, axis=-1)
-    at_min = mag == np.repeat(min1, deg, axis=-1)
-    # Count of elements attaining the minimum, per segment.
-    counts = np.add.reduceat(at_min.astype(np.int64), starts, axis=-1)
-    masked = np.where(at_min, np.inf, mag)
-    min2 = np.minimum.reduceat(masked, starts, axis=-1)
-    return min1, min2, at_min, counts
+def _reduceat_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order ``np.add.reduceat`` adds a segment:
+    ``x[0] + pairwise(x[1:])``, bit for bit."""
+    if len(x) == 1:
+        return x[0].copy()
+    return x[0] + _pairwise_sum(x[1:])
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """numpy's pairwise summation over axis 0: in order below 8 terms, 8
+    interleaved accumulators up to 128, halves (at a multiple of 8) above.
+    """
+    n = len(x)
+    if n < 8:
+        total = x[0].copy()
+        for i in range(1, n):
+            total += x[i]
+        return total
+    if n <= 128:
+        blocked = n - n % 8
+        acc = x[:8].copy()
+        for i in range(8, blocked, 8):
+            acc += x[i:i + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for i in range(blocked, n):
+            total += x[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 _PHI_MIN = 1e-12
 
 
-def _phi_(x: np.ndarray) -> np.ndarray:
-    """phi(x) = -log(tanh(x/2)), in place; self-inverse on (0, inf).
-
-    The input is clipped to [_PHI_MIN, LLR_MAX] first.
-    """
+def _log_tanh(x: np.ndarray) -> np.ndarray:
+    """log(tanh(x/2)) = -phi(x), in place, after clipping x to
+    [_PHI_MIN, LLR_MAX]."""
     np.clip(x, _PHI_MIN, LLR_MAX, out=x)
     x /= 2.0
     np.tanh(x, out=x)
-    np.log(x, out=x)
-    return np.negative(x, out=x)
+    return np.log(x, out=x)
+
+
+def _class_blocks(edges: np.ndarray, g: _EdgeGraph):
+    """The ``[d, checks, rows]`` block of each check class of ``edges``
+    [edges, rows] in the edge-major order, as views."""
+    rows = edges.shape[1]
+    return [edges[lo:hi].reshape(d, -1, rows) for d, lo, hi in g.chk_classes]
 
 
 def bp_decode(
@@ -166,85 +225,103 @@ def _bp_tiled(llr, g: _EdgeGraph, num_iter, variant, scale, early_stop):
         raise ValueError(f"unknown BP variant {variant!r}")
     if num_iter < 1:
         raise ValueError("num_iter must be >= 1")
-    # Internal sign convention ln(p0/p1) keeps the textbook check update.
-    # The dtype follows the input, but the float64 sign factor of the check
-    # update promotes the messages to float64 from then on.
     dtype = llr.dtype if llr.dtype in (np.float32, np.float64) else np.float64
-    channel = -llr.astype(dtype)
     alpha = scale if variant == "scaled-min-sum" else 1.0
-    final = np.empty_like(channel)
-    for lo in range(0, len(channel), g.tile_rows):
+    # Hard decisions (1 iff L > 0) are taken per tile, while it is in
+    # cache, so no whole-batch temporary is left for the end.
+    hard = np.empty(llr.shape, np.uint8)
+    llr_out = np.empty(llr.shape, dtype)
+    for lo in range(0, len(llr), g.tile_rows):
         tile = slice(lo, lo + g.tile_rows)
-        _bp_tile(channel[tile], final[tile], g, num_iter, variant, alpha,
+        # Transposed to [n, rows], in the internal sign convention
+        # ln(p0/p1), which keeps the textbook check update.
+        channel = np.negative(llr[tile].T, dtype=dtype, order="C")
+        _bp_tile(channel, llr_out[tile], g, num_iter, variant, alpha,
                  early_stop)
-    llr_out = -final
-    return llr_out, hard_decide(llr_out)
+        np.greater(llr_out[tile], 0, out=hard[tile].view(bool))
+    return llr_out, hard
 
 
-def _bp_tile(channel, final, g: _EdgeGraph, num_iter, variant, alpha,
+def _bp_tile(channel, llr_out, g: _EdgeGraph, num_iter, variant, alpha,
              early_stop):
-    """Flooding loop over one tile; writes the total beliefs ln(p0/p1) of
-    each row into ``final``."""
-    total = channel.copy()
+    """Flooding loop over one tile of channel beliefs [n, rows]; writes the
+    output LLRs ln(p1/p0) of each row into ``llr_out`` [rows, n].
+
+    Messages are [edges, rows] in the edge-major order of ``g``, so each
+    check reduction runs over the d slabs of its class block and each
+    variable sum over the d_v slabs its gather table lays out.  Every sum
+    adds in the order of ``np.add.reduceat`` over the check-by-check edge
+    list.  The first iteration runs in the channel dtype; the check output
+    is float64 from then on.
+    """
+    total = channel
     # The total beliefs gathered onto the edges, once per iteration: the
     # syndrome reads their signs and the next iteration's v2c starts there.
-    te = np.take(total, g.var_idx, axis=1)
-    c2v = np.zeros((len(channel), g.num_edges), dtype=channel.dtype)
+    te = np.take(total, g.edge_var, axis=0)
+    c2v = np.zeros_like(te)
     # Rows whose syndrome is already satisfied get frozen and dropped from
     # the working set, so converged rows cost nothing.
-    active = np.arange(len(channel))
+    active = np.arange(channel.shape[1])
 
     for _ in range(num_iter):
         v2c = te - c2v
-
         signs = np.signbit(v2c)
-        par = np.bitwise_xor.reduceat(signs, g.chk_starts, axis=-1)
-        flip = np.repeat(par, g.chk_deg, axis=-1)
-        flip ^= signs
-        # +-1.0 sign of the other edges' product; float64 whatever the input.
-        sign_excl = flip.astype(np.float64)
-        sign_excl *= -2.0
-        sign_excl += 1.0
-
         mag = np.abs(v2c, out=v2c)
         if variant == "sum-product":
-            pmag = _phi_(mag)
-            excl = np.repeat(np.add.reduceat(pmag, g.chk_starts, axis=-1),
-                             g.chk_deg, axis=-1)
-            excl -= pmag
-            sign_excl *= np.clip(_phi_(excl), 0.0, 30.0, out=excl)
+            # The sum of log(tanh) over a check is minus the sum of phi, so
+            # each block minus its sum is phi's sum minus the edge's phi.
+            log_tanh = _log_tanh(mag)
+            for block in _class_blocks(log_tanh, g):
+                block -= _reduceat_sum(block)
+            excl = np.negative(_log_tanh(log_tanh), out=log_tanh)
+            np.clip(excl, 0.0, 30.0, out=excl)
         else:
-            min1, min2, at_min, counts = _segment_min2(mag, g.chk_starts,
-                                                       g.chk_deg)
-            at_min &= np.repeat(counts == 1, g.chk_deg, axis=-1)
-            excl = np.where(at_min, np.repeat(min2, g.chk_deg, axis=-1),
-                            np.repeat(min1, g.chk_deg, axis=-1))
-            sign_excl *= alpha
-            sign_excl *= excl
-        c2v = sign_excl
+            for block in _class_blocks(mag, g):
+                min1 = np.minimum.reduce(block, axis=0)
+                at_min = block == min1
+                min2 = np.minimum.reduce(np.where(at_min, np.inf, block),
+                                         axis=0)
+                # A tied minimum is also the least of the other edges.
+                min2 = np.where(np.count_nonzero(at_min, axis=0) > 1, min1,
+                                min2)
+                block[...] = np.where(at_min, min2, min1)
+            excl = mag
+        # The check output is float64 whatever the channel dtype, so every
+        # later message is float64 too.
+        c2v = excl.astype(np.float64, copy=False)
+        if alpha != 1.0:
+            c2v *= alpha
+        # The sign of the other edges' product: flip the sign bit where the
+        # parity of the check's other signs is odd.
+        for block in _class_blocks(signs, g):
+            block ^= np.bitwise_xor.reduce(block, axis=0)
+        c2v.view(np.uint64)[...] ^= np.left_shift(
+            signs.view(np.uint8), 63, dtype=np.uint64)
 
         total = channel.copy()
-        sums = np.add.reduceat(c2v[:, g.var_order], g.var_starts, axis=-1)
-        total[:, g.var_ids] += sums
+        for vids, gather in g.var_classes:
+            # float64 sums, rounded once into the channel dtype.
+            total[vids] = channel[vids] + _reduceat_sum(
+                np.take(c2v, gather, axis=0))
         np.clip(total, -LLR_MAX, LLR_MAX, out=total)
-        te = np.take(total, g.var_idx, axis=1)
+        te = np.take(total, g.edge_var, axis=0)
 
         if early_stop:
-            syn = np.bitwise_xor.reduceat(np.signbit(te), g.chk_starts,
-                                          axis=-1)
-            ok = ~np.any(syn, axis=1)
+            ok = np.ones(len(active), dtype=bool)
+            for block in _class_blocks(np.signbit(te), g):
+                ok &= ~np.bitwise_xor.reduce(block, axis=0).any(axis=0)
             if np.any(ok):
-                final[active[ok]] = total[ok]
+                llr_out[active[ok]] = -total[:, ok].T
                 keep = ~ok
                 active = active[keep]
                 if active.size == 0:
                     return
-                channel = channel[keep]
-                total = total[keep]
-                te = te[keep]
-                c2v = c2v[keep]
+                channel = channel[:, keep]
+                total = total[:, keep]
+                te = te[:, keep]
+                c2v = c2v[:, keep]
 
-    final[active] = total
+    llr_out[active] = -total.T
 
 
 def exit_mutual_information(llr: np.ndarray, bits: np.ndarray) -> float:

@@ -21,8 +21,8 @@ Per factor, the demapper computes ``-|y_f - level|**2 / no`` plus the
 factor's share of the prior, gathers the per-bit subsets into a
 ``[2, bits, levels/2, symbols]`` tensor and reduces it with a max-shifted
 log-sum-exp (APP) or a max (max-log).  It walks the symbols in tiles sized
-so that tensor takes about ``_TILE_BYTES``, which bounds the peak temporary
-for any batch size and constellation order.
+so that tensor takes about ``core.TILE_BYTES``, which bounds the peak
+temporary for any batch size and constellation order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Size of the per-bit subset tensor of one demapper tile (float64).
-_TILE_BYTES = 1 << 20
+from .core import tile_rows
 
 
 def _gray_decode(g: np.ndarray) -> np.ndarray:
@@ -175,9 +174,10 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 def _tile_symbols(constellation: Constellation) -> int:
-    """Symbols per demapper tile: the subset tensor stays near _TILE_BYTES."""
+    """Symbols per demapper tile: the float64 subset tensor stays near
+    ``core.TILE_BYTES``."""
     widest = max(f.bits.size for f in constellation._factors)
-    return max(1, _TILE_BYTES // (8 * widest))
+    return tile_rows(8 * widest)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,10 @@
+import functools
 import importlib.resources
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +12,10 @@ import pytest
 from linksim.alist import ParityCheckMatrix
 from linksim.channel import awgn
 from linksim.core import LLR_MAX, RngStream, binary_source, ebnodb2no, hard_decide
-from linksim.ldpc import (LIFTING_SIZES, LdpcCode5G, _base_graph, _edge_graph,
-                          _EdgeGraph, bp_decode, exit_mutual_information,
-                          ldpc5g_decode, ldpc5g_encode)
+from linksim.ldpc import (BP_VARIANTS, LIFTING_SIZES, LdpcCode5G, _base_graph,
+                          _bp_tiled, _edge_graph, _EdgeGraph, bp_decode,
+                          exit_mutual_information, ldpc5g_decode,
+                          ldpc5g_encode)
 from linksim.mapping import Constellation, demap_app, map_bits
 from linksim.sweep import SimConfig, format_csv, run_sweep
 
@@ -108,6 +114,95 @@ def seed_bp_decode(llr, pcm, num_iter=20, variant="sum-product", scale=0.75,
                 c2v = c2v[keep]
     if active.size:
         final[active] = total
+    llr_out = -final
+    return llr_out, hard_decide(llr_out)
+
+
+def flat_bp_tiled(llr, g, num_iter, variant, scale, early_stop):
+    """Frozen copy of the row-major flat decoder (messages [rows, edges],
+    per-check ``reduceat`` and ``np.repeat`` spreads), tiled by
+    ``g.tile_rows``: the byte-level oracle of the edge-major decoder.  It
+    reads only the check-by-check edge list of ``g``.
+    """
+    var_order = np.argsort(g.var_idx, kind="stable")
+    sorted_vars = g.var_idx[var_order]
+    var_starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_vars))
+                                 + 1])
+    var_ids = sorted_vars[var_starts]
+
+    def segment_min2(mag):
+        min1 = np.minimum.reduceat(mag, g.chk_starts, axis=-1)
+        at_min = mag == np.repeat(min1, g.chk_deg, axis=-1)
+        counts = np.add.reduceat(at_min.astype(np.int64), g.chk_starts,
+                                 axis=-1)
+        masked = np.where(at_min, np.inf, mag)
+        min2 = np.minimum.reduceat(masked, g.chk_starts, axis=-1)
+        return min1, min2, at_min, counts
+
+    def phi(x):
+        np.clip(x, 1e-12, LLR_MAX, out=x)
+        x /= 2.0
+        np.tanh(x, out=x)
+        np.log(x, out=x)
+        return np.negative(x, out=x)
+
+    def tile_loop(channel, final):
+        total = channel.copy()
+        te = np.take(total, g.var_idx, axis=1)
+        c2v = np.zeros((len(channel), g.num_edges), dtype=channel.dtype)
+        active = np.arange(len(channel))
+        for _ in range(num_iter):
+            v2c = te - c2v
+            signs = np.signbit(v2c)
+            par = np.bitwise_xor.reduceat(signs, g.chk_starts, axis=-1)
+            flip = np.repeat(par, g.chk_deg, axis=-1)
+            flip ^= signs
+            sign_excl = flip.astype(np.float64)
+            sign_excl *= -2.0
+            sign_excl += 1.0
+            mag = np.abs(v2c, out=v2c)
+            if variant == "sum-product":
+                pmag = phi(mag)
+                excl = np.repeat(np.add.reduceat(pmag, g.chk_starts, axis=-1),
+                                 g.chk_deg, axis=-1)
+                excl -= pmag
+                sign_excl *= np.clip(phi(excl), 0.0, 30.0, out=excl)
+            else:
+                min1, min2, at_min, counts = segment_min2(mag)
+                at_min &= np.repeat(counts == 1, g.chk_deg, axis=-1)
+                excl = np.where(at_min, np.repeat(min2, g.chk_deg, axis=-1),
+                                np.repeat(min1, g.chk_deg, axis=-1))
+                sign_excl *= alpha
+                sign_excl *= excl
+            c2v = sign_excl
+            total = channel.copy()
+            sums = np.add.reduceat(c2v[:, var_order], var_starts, axis=-1)
+            total[:, var_ids] += sums
+            np.clip(total, -LLR_MAX, LLR_MAX, out=total)
+            te = np.take(total, g.var_idx, axis=1)
+            if early_stop:
+                syn = np.bitwise_xor.reduceat(np.signbit(te), g.chk_starts,
+                                              axis=-1)
+                ok = ~np.any(syn, axis=1)
+                if np.any(ok):
+                    final[active[ok]] = total[ok]
+                    keep = ~ok
+                    active = active[keep]
+                    if active.size == 0:
+                        return
+                    channel = channel[keep]
+                    total = total[keep]
+                    te = te[keep]
+                    c2v = c2v[keep]
+        final[active] = total
+
+    dtype = llr.dtype if llr.dtype in (np.float32, np.float64) else np.float64
+    channel = -llr.astype(dtype)
+    alpha = scale if variant == "scaled-min-sum" else 1.0
+    final = np.empty_like(channel)
+    for lo in range(0, len(channel), g.tile_rows):
+        tile = slice(lo, lo + g.tile_rows)
+        tile_loop(channel[tile], final[tile])
     llr_out = -final
     return llr_out, hard_decide(llr_out)
 
@@ -263,6 +358,32 @@ class TestBpDecode:
         _, h1 = bp_decode(llr, pcm, num_iter=50, early_stop=True)
         _, h2 = bp_decode(llr, pcm, num_iter=50, early_stop=False)
         assert np.array_equal(h1, h2)
+
+    @pytest.mark.parametrize("zero_row", [1, 2])
+    def test_check_without_edges_is_ignored(self, zero_row):
+        # An all-zero row of H constrains nothing: in the middle it must not
+        # take the next check's parity as its syndrome, at the end it must
+        # not index past the edge list.
+        h = np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.uint8)
+        with_zero = ParityCheckMatrix.from_dense(
+            np.insert(h, zero_row, 0, axis=0))
+        pcm = ParityCheckMatrix.from_dense(h)
+        g = RngStream(17, zero_row).generator()
+        llr = np.concatenate([[[5.0, 5.0, 5.0, -5.0]],
+                              g.normal(0.0, 3.0, size=(31, 4))])
+        for variant in BP_VARIANTS:
+            for num_iter in (1, 10):
+                out, hard = bp_decode(llr, with_zero, num_iter=num_iter,
+                                      variant=variant)
+                ref_out, ref_hard = bp_decode(llr, pcm, num_iter=num_iter,
+                                              variant=variant)
+                assert np.array_equal(out.view(np.uint8),
+                                      ref_out.view(np.uint8))
+                assert np.array_equal(hard, ref_hard)
+            # The first row is a codeword, so it stops after one iteration.
+            assert np.array_equal(
+                bp_decode(llr[:1], with_zero, num_iter=10, variant=variant)[0],
+                bp_decode(llr[:1], with_zero, num_iter=1, variant=variant)[0])
 
 
 class TestExitMutualInformation:
@@ -543,3 +664,111 @@ class TestTiledPrunedDecoder:
         one, two = (strip(format_csv(run_sweep(cfg, num_workers=w)))
                     for w in (1, 2))
         assert one == two
+
+
+# Codes of the byte-level oracle corpus, smallest first; the SIMD dispatch
+# test reruns the first three.
+ORACLE_CODES = [(40, 100), (100, 300), (200, 600), (500, 1000), (512, 1024),
+                (1000, 1500), (3000, 4000)]
+# Trailing arguments of _bp_tiled: (num_iter, variant, scale, early_stop).
+ORACLE_RUNS = [(num_iter, variant, scale, early_stop)
+               for variant, scale in (("sum-product", 0.75), ("min-sum", 0.75),
+                                      ("scaled-min-sum", 0.75),
+                                      ("scaled-min-sum", 0.5))
+               for early_stop in (True, False) for num_iter in (1, 7)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_corpus(k, n):
+    """The decoding graph of the (k, n) code and 8 rows of LLRs on it:
+    Gaussian, on a 0.5 grid (ties and zeros), and saturated at +-40 with 0,
+    1e-13 and -1e-300 mixed in."""
+    code = LdpcCode5G(k, n)
+    g = code._graph
+    rng = RngStream(k, n)
+    bits = code.encode_full(binary_source([8, k], rng.child(0)))
+    sign = 2.0 * bits[:, code._decode_cols] - 1.0
+    gen = rng.child(1).generator()
+    gaussian = 2.5 * sign + 2.0 * gen.standard_normal(sign.shape)
+    saturated = 40.0 * sign * gen.choice([1.0, -1.0], sign.shape, p=[.9, .1])
+    special = gen.random(sign.shape) < 0.1
+    saturated[special] = gen.choice([0.0, 1e-13, -1e-300], special.sum())
+    return g, (gaussian, np.round(2.0 * gaussian) / 2.0, saturated)
+
+
+def assert_same_bytes(got, ref):
+    # Byte views: np.array_equal ignores the sign of zero, signbit does not.
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                              np.ascontiguousarray(b).view(np.uint8))
+
+
+class TestEdgeMajorMatchesFlat:
+    """The edge-major decoder against the frozen row-major flat decoder."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,n", ORACLE_CODES,
+                             ids=[f"{k}x{n}" for k, n in ORACLE_CODES])
+    def test_corpus_bytes_match_flat(self, k, n, dtype):
+        g, corpus = oracle_corpus(k, n)
+        for llr in corpus:
+            llr = llr.astype(dtype)
+            for run in ORACLE_RUNS:
+                assert_same_bytes(_bp_tiled(llr, g, *run),
+                                  flat_bp_tiled(llr, g, *run))
+
+    def test_generic_matrix_bytes_match_flat(self):
+        # A check of degree 140 and a variable of degree 150 (pairwise
+        # summation splits above 128 terms), degree-1 checks and
+        # variables, and a variable without edges.
+        gen = RngStream(31, 0).generator()
+        h = (gen.random((160, 300)) < 0.02).astype(np.uint8)
+        h[:, 299] = 0
+        h[:150, 1] = 1
+        h[0, 2:] = 0
+        h[0, gen.choice(np.arange(2, 299), 139, replace=False)] = 1
+        h[150:, :] = 0
+        h[150:, 250:260] = np.eye(10, dtype=np.uint8)
+        pcm = ParityCheckMatrix.from_dense(h)
+        g = _edge_graph(pcm)
+        assert {1, 140} <= set(g.chk_deg.tolist())
+        var_deg = np.bincount(g.var_idx, minlength=300)
+        assert var_deg[1] == 150 and var_deg[299] == 0 and 1 in var_deg
+        tile = g.tile_rows
+        assert tile > 1
+        llr = 2.0 + 3.0 * gen.standard_normal((2 * tile + 3, 300))
+        for batch in (1, tile - 1, tile + 1, 2 * tile + 3):
+            for dtype in (np.float32, np.float64):
+                rows = llr[:batch].astype(dtype)
+                for run in ORACLE_RUNS:
+                    assert_same_bytes(_bp_tiled(rows, g, *run),
+                                      flat_bp_tiled(rows, g, *run))
+
+    @pytest.mark.parametrize("level,disabled", [
+        ("avx2", ["X86_V4", "AVX512_ICL", "AVX512_SPR"]),
+        ("baseline", ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]),
+    ])
+    def test_corpus_under_lower_simd_dispatch(self, level, disabled):
+        # NumPy picks its kernels by CPU feature; NPY_DISABLE_CPU_FEATURES
+        # lowers the dispatch of the child process only.
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        disabled = [f for f in disabled if f in umath.__cpu_dispatch__
+                    and umath.__cpu_features__.get(f)]
+        if not disabled:
+            pytest.skip(f"the host dispatches no feature above {level}")
+        script = (
+            "import sys, pytest\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "assert not any(__cpu_features__[f] for f in sys.argv[1:])\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', %r, '-k',"
+            " 'test_corpus_bytes_match_flat and (%s)']))\n"
+            % (__file__, " or ".join(f"{k}x{n}" for k, n in ORACLE_CODES[:3])))
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+                   PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, *disabled],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "6 passed" in proc.stdout
