@@ -22,6 +22,13 @@ class AlistParseError(ValueError):
         self.line = line
 
 
+def _has_repeats(a: np.ndarray) -> bool:
+    """Whether a value occurs twice in ``a``; by sorting, because
+    np.unique would import numpy.ma, tens of milliseconds of set-up."""
+    a = np.sort(a, axis=None)
+    return bool(np.any(a[1:] == a[:-1]))
+
+
 @dataclass
 class ParityCheckMatrix:
     """Bipartite adjacency of an (m x n) binary parity-check matrix."""
@@ -38,7 +45,7 @@ class ParityCheckMatrix:
             raise ValueError("adjacency list lengths do not match n, m")
         edges = set()
         for v, checks in enumerate(self.col_adj):
-            if len(np.unique(checks)) != len(checks):
+            if _has_repeats(checks):
                 raise ValueError(f"duplicate edges at variable {v}")
             for c in checks:
                 if not 0 <= c < self.m:
@@ -46,7 +53,7 @@ class ParityCheckMatrix:
                 edges.add((v, int(c)))
         count = 0
         for c, variables in enumerate(self.row_adj):
-            if len(np.unique(variables)) != len(variables):
+            if _has_repeats(variables):
                 raise ValueError(f"duplicate edges at check {c}")
             for v in variables:
                 if not 0 <= v < self.n:

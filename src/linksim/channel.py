@@ -26,8 +26,15 @@ def complex_gaussian(shape, rng: RngStream, variance: float = 1.0,
     """Circularly-symmetric complex Gaussian draws, per-element variance."""
     g = rng.generator()
     scale = np.sqrt(variance / 2.0)
-    z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-    return (scale * z).astype(dtype)
+    # Real then imaginary parts, each drawn, scaled and rounded into the
+    # output through one float64 buffer; a real dtype keeps the real part.
+    z = np.empty(shape, dtype)
+    part = np.empty(z.shape)
+    for out in (z.real, z.imag) if z.dtype.kind == "c" else (z,):
+        g.standard_normal(out=part)
+        part *= scale
+        out[...] = part
+    return z
 
 
 def awgn(x: np.ndarray, no: float, rng: RngStream) -> np.ndarray:

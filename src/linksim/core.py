@@ -9,6 +9,9 @@ simulated in parallel.  Bits are stored as ``uint8`` arrays with values in
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +20,11 @@ import numpy as np
 # L = ln(Pr(b=1) / Pr(b=0)), hard decision 1 iff L > 0 (ties decide 0).
 LLR_MAX = 40.0
 
-# Byte budget of one tile of a large batched temporary: the LDPC decoder's
-# edge messages, the demapper's subset tensor and the Viterbi branch
-# metrics.  The loops over such tiles keep a handful of them live, so a
-# tile of this size stays in the per-core caches; chosen with
-# `tools/bench.py`.
+# Byte budget of one tile of a large batched temporary: the demapper's
+# subset tensor, the Viterbi branch metrics, the LMMSE equalizer's channel
+# matrices and (twice this) the LDPC decoder's edge messages.  The loops
+# over such tiles keep a handful of them live, so a tile of this size
+# stays in the per-core caches; chosen with `tools/bench.py`.
 TILE_BYTES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -106,10 +109,81 @@ def count_errors(b: np.ndarray, b_hat: np.ndarray) -> tuple[int, int]:
     return int(diff.sum()), int(np.any(diff, axis=1).sum())
 
 
-def tile_rows(bytes_per_row: int) -> int:
-    """Rows of ``bytes_per_row`` bytes each that fit ``TILE_BYTES``; at
+def tile_rows(bytes_per_row: int, budget: int = TILE_BYTES) -> int:
+    """Rows of ``bytes_per_row`` bytes each that fit ``budget`` bytes; at
     least one."""
-    return max(1, TILE_BYTES // bytes_per_row)
+    return max(1, budget // bytes_per_row)
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Helper threads of map_tiles: one per further CPU, so the calling thread
+# and the helpers use each CPU once.  The affinity mask (``taskset``) is
+# the only control, as with a threaded BLAS.
+_HELPERS = cpu_count() - 1
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helper_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The process-wide pool of ``_HELPERS`` threads, created on first use
+    under a lock, so concurrent first calls share one pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(_HELPERS,
+                                                          "linksim-tile")
+        return _pool
+
+
+def map_tiles(fn, starts) -> None:
+    """Call ``fn(start)`` once for every start of the sequence ``starts``,
+    on the calling thread and on the helper threads at once.
+
+    Each thread takes the next start from one shared iterator, so tiles
+    that finish early leave more for the others.  ``fn`` must only write
+    what its own tile owns; numpy releases the GIL inside each array
+    operation, so the tiles' operations overlap.  The calling thread always
+    works, and a helper task that has not started when the starts run out
+    is cancelled rather than waited for, so a call from inside another
+    pool, or from inside ``fn``, cannot deadlock.  An exception raised by
+    ``fn`` on any thread reaches the caller once every thread has stopped.
+    With one CPU no thread is started.
+    """
+    pending = iter(starts)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    def work():
+        nonlocal pending
+        try:
+            for start in iter(take, None):
+                fn(start)
+        except BaseException:
+            with lock:  # the other threads stop at their next take
+                pending = iter(())
+            raise
+
+    helpers = min(_HELPERS, len(starts) - 1)
+    futures = ([_helper_pool().submit(work) for _ in range(helpers)]
+               if helpers > 0 else [])
+    try:
+        work()
+    finally:
+        errors = [future.exception() for future in futures
+                  if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def hard_decide(llr: np.ndarray) -> np.ndarray:

@@ -10,10 +10,16 @@ buffer.
 
 Two things keep decoding cheap:
 
-- Row tiles in an edge-major layout.  BP runs over tiles of the batch
-  sized so one float64 message array takes about 1 MB and stays in
-  cache.  Rows are independent (early stopping included), so the output
-  is bit for bit the same as decoding the whole batch at once.  Each tile
+- Row tiles in an edge-major layout, on every CPU.  BP runs over tiles of
+  the batch sized so one float64 message array takes about
+  ``BP_TILE_BYTES``.  Rows are independent (early stopping included), so
+  the output is bit for bit the same as decoding the whole batch at once,
+  and :func:`~linksim.core.map_tiles` runs the tiles on the calling
+  thread and one helper thread per further CPU of the affinity mask
+  (``taskset`` sets the thread count; one CPU starts no thread).  numpy
+  releases the GIL inside each whole-slab operation, and the tiles are
+  twice the shared budget because the GIL is held between operations.  A
+  tile keeps one ``[edges, rows]`` array across iterations.  Each tile
   runs transposed, with messages ``[edges, rows]`` and the edges grouped
   by check degree and then by position within the check, so all checks of
   degree d form one ``[d, checks, rows]`` block.  A check reduction is a
@@ -51,9 +57,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alist import ParityCheckMatrix
-from .core import LLR_MAX, tile_rows
+from .core import LLR_MAX, TILE_BYTES, map_tiles, tile_rows
 
 BP_VARIANTS = ("sum-product", "min-sum", "scaled-min-sum")
+
+# Bytes of float64 messages in one BP row tile.  Threads hold the GIL
+# between numpy calls, so tiles twice the shared budget, which make half
+# the calls, run faster on the helper threads of ``map_tiles``.
+BP_TILE_BYTES = 2 * TILE_BYTES
 
 # Valid lifting sizes: a * 2^j with a in {2,...,15 odd-ish set}, capped at 384.
 _LIFT_BASES = (2, 3, 5, 7, 9, 11, 13, 15)
@@ -91,7 +102,7 @@ class _EdgeGraph:
         self.var_idx = np.asarray(var_idx, dtype=np.int64)
         self.chk_starts = np.cumsum(self.chk_deg) - self.chk_deg
         self.num_edges = len(self.var_idx)
-        self.tile_rows = tile_rows(8 * max(1, self.num_edges))
+        self.tile_rows = tile_rows(8 * max(1, self.num_edges), BP_TILE_BYTES)
 
         edges = np.arange(self.num_edges)
         chk = np.repeat(np.arange(self.m), self.chk_deg)
@@ -215,11 +226,15 @@ def bp_decode(
                      early_stop)
 
 
-def _bp_tiled(llr, g: _EdgeGraph, num_iter, variant, scale, early_stop):
-    """Run :func:`_bp_tile` over row tiles of ``g.tile_rows`` rows.
+def _bp_tiled(llr, g: _EdgeGraph, num_iter, variant, scale, early_stop,
+              soft=True):
+    """Run :func:`_bp_tile` over row tiles of ``g.tile_rows`` rows, on the
+    calling thread and the helper threads of :func:`~linksim.core.map_tiles`.
 
-    Rows are decoded independently, so the result does not depend on the
-    tiling, bit for bit.
+    Returns ``(llr_out, hard)``.  Without ``soft``, ``llr_out`` is None and
+    each tile writes its output LLRs into a buffer of its own.  Rows are
+    decoded independently, so the result depends neither on the tiling nor
+    on the thread count, bit for bit.
     """
     if variant not in BP_VARIANTS:
         raise ValueError(f"unknown BP variant {variant!r}")
@@ -227,18 +242,20 @@ def _bp_tiled(llr, g: _EdgeGraph, num_iter, variant, scale, early_stop):
         raise ValueError("num_iter must be >= 1")
     dtype = llr.dtype if llr.dtype in (np.float32, np.float64) else np.float64
     alpha = scale if variant == "scaled-min-sum" else 1.0
-    # Hard decisions (1 iff L > 0) are taken per tile, while it is in
-    # cache, so no whole-batch temporary is left for the end.
     hard = np.empty(llr.shape, np.uint8)
-    llr_out = np.empty(llr.shape, dtype)
-    for lo in range(0, len(llr), g.tile_rows):
+    llr_out = np.empty(llr.shape, dtype) if soft else None
+
+    def decode(lo):
         tile = slice(lo, lo + g.tile_rows)
         # Transposed to [n, rows], in the internal sign convention
         # ln(p0/p1), which keeps the textbook check update.
         channel = np.negative(llr[tile].T, dtype=dtype, order="C")
-        _bp_tile(channel, llr_out[tile], g, num_iter, variant, alpha,
-                 early_stop)
-        np.greater(llr_out[tile], 0, out=hard[tile].view(bool))
+        out = llr_out[tile] if soft else np.empty(channel.shape[::-1], dtype)
+        _bp_tile(channel, out, g, num_iter, variant, alpha, early_stop)
+        # Hard decisions (1 iff L > 0) while the tile is in cache.
+        np.greater(out, 0, out=hard[tile].view(bool))
+
+    map_tiles(decode, range(0, len(llr), g.tile_rows))
     return llr_out, hard
 
 
@@ -255,16 +272,16 @@ def _bp_tile(channel, llr_out, g: _EdgeGraph, num_iter, variant, alpha,
     is float64 from then on.
     """
     total = channel
-    # The total beliefs gathered onto the edges, once per iteration: the
-    # syndrome reads their signs and the next iteration's v2c starts there.
-    te = np.take(total, g.edge_var, axis=0)
-    c2v = np.zeros_like(te)
+    c2v = np.zeros((g.num_edges, channel.shape[1]), channel.dtype)
     # Rows whose syndrome is already satisfied get frozen and dropped from
     # the working set, so converged rows cost nothing.
     active = np.arange(channel.shape[1])
 
     for _ in range(num_iter):
-        v2c = te - c2v
+        # The total beliefs on the edges minus the last check messages.  The
+        # new c2v is built from v2c alone, so v2c takes c2v's buffer, and
+        # c2v is the one [edges, rows] array that lives across iterations.
+        v2c = np.subtract(np.take(total, g.edge_var, axis=0), c2v, out=c2v)
         signs = np.signbit(v2c)
         mag = np.abs(v2c, out=v2c)
         if variant == "sum-product":
@@ -291,12 +308,14 @@ def _bp_tile(channel, llr_out, g: _EdgeGraph, num_iter, variant, alpha,
         c2v = excl.astype(np.float64, copy=False)
         if alpha != 1.0:
             c2v *= alpha
-        # The sign of the other edges' product: flip the sign bit where the
-        # parity of the check's other signs is odd.
+        # The sign of the other edges' product: negate (flip the sign bit)
+        # where the parity of the check's other signs is odd.  A factor of
+        # -1 or 1 in int8 keeps the temporary at one byte per edge.
         for block in _class_blocks(signs, g):
             block ^= np.bitwise_xor.reduce(block, axis=0)
-        c2v.view(np.uint64)[...] ^= np.left_shift(
-            signs.view(np.uint8), 63, dtype=np.uint64)
+        factor = np.multiply(signs, -2, dtype=np.int8)
+        factor += 1
+        c2v *= factor
 
         total = channel.copy()
         for vids, gather in g.var_classes:
@@ -304,11 +323,11 @@ def _bp_tile(channel, llr_out, g: _EdgeGraph, num_iter, variant, alpha,
             total[vids] = channel[vids] + _reduceat_sum(
                 np.take(c2v, gather, axis=0))
         np.clip(total, -LLR_MAX, LLR_MAX, out=total)
-        te = np.take(total, g.edge_var, axis=0)
 
         if early_stop:
             ok = np.ones(len(active), dtype=bool)
-            for block in _class_blocks(np.signbit(te), g):
+            signs = np.take(np.signbit(total), g.edge_var, axis=0)
+            for block in _class_blocks(signs, g):
                 ok &= ~np.bitwise_xor.reduce(block, axis=0).any(axis=0)
             if np.any(ok):
                 llr_out[active[ok]] = -total[:, ok].T
@@ -318,7 +337,6 @@ def _bp_tile(channel, llr_out, g: _EdgeGraph, num_iter, variant, alpha,
                     return
                 channel = channel[:, keep]
                 total = total[:, keep]
-                te = te[:, keep]
                 c2v = c2v[:, keep]
 
     llr_out[active] = -total.T
@@ -419,6 +437,7 @@ class LdpcCode5G:
         keep[self.filler_idx] = False
         keep[: 2 * z] = False  # punctured systematic bits, never sent
         buffer = np.nonzero(keep)[0]
+        self.buffer_len = len(buffer)
         self.transmit_idx = buffer[np.arange(self.n) % len(buffer)]
         self._pcm = None
 
@@ -439,6 +458,8 @@ class LdpcCode5G:
         # first and the kept edges stay in the mother graph's order.
         self._decode_cols = np.flatnonzero(~pruned_var)
         new_col = np.cumsum(~pruned_var) - 1
+        # Sent bits are never pruned; fillers keep their columns.
+        self._transmit_cols = new_col[self.transmit_idx]
         chk_deg = np.bincount(rows[kept], minlength=self.m_full)[~pruned_chk]
         self._graph = _EdgeGraph(len(self._decode_cols), chk_deg,
                                  new_col[cols[kept]])
@@ -498,15 +519,31 @@ class LdpcCode5G:
 
     def derate_match(self, llr: np.ndarray) -> np.ndarray:
         """Map rate-matched LLRs back onto the mother codeword positions."""
+        return np.ascontiguousarray(
+            self._derate(llr, self.transmit_idx, self.n_full))
+
+    def _derate(self, llr, cols, width):
+        """Rate-matched LLRs summed onto columns ``cols`` (one per sent
+        bit) of a [batch, width] array of zeros; filler columns -LLR_MAX.
+
+        Each pass over the circular buffer adds to distinct columns, so the
+        passes add in order, as ``np.add.at`` would: ``0 + first + ...``.
+        The result is the transpose of a C-ordered [width, batch] array,
+        whose column tiles the BP decoder reads as contiguous runs.
+        """
         llr = np.atleast_2d(np.asarray(llr))
         if llr.dtype not in (np.float32, np.float64):
             llr = llr.astype(np.float64)
         if llr.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} LLRs, got {llr.shape[-1]}")
-        mother = np.zeros((llr.shape[0], self.n_full), dtype=llr.dtype)
-        np.add.at(mother, (slice(None), self.transmit_idx), llr)
-        mother[:, self.filler_idx] = -LLR_MAX  # filler bits are known zeros
-        return mother
+        out = np.zeros((width, llr.shape[0]), dtype=llr.dtype)
+        step = self.buffer_len
+        out[cols[:step]] = llr[:, :step].T
+        out += 0.0  # 0 + first: a negative zero turns positive
+        for lo in range(step, self.n, step):
+            out[cols[lo:lo + step]] += llr[:, lo:lo + step].T
+        out[self.filler_idx] = -LLR_MAX  # filler bits are known zeros
+        return out.T
 
 
 def ldpc5g_encode(bits: np.ndarray, code: LdpcCode5G) -> np.ndarray:
@@ -523,7 +560,7 @@ def ldpc5g_decode(
     scale: float = 0.75,
 ) -> np.ndarray:
     """BP-decode rate-matched LLRs and return the [batch, k] info bits."""
-    mother = code.derate_match(llr)[:, code._decode_cols]
-    _, hard = _bp_tiled(mother, code._graph, num_iter, variant, scale,
-                        early_stop=True)
+    llr = code._derate(llr, code._transmit_cols, len(code._decode_cols))
+    _, hard = _bp_tiled(llr, code._graph, num_iter, variant, scale,
+                        early_stop=True, soft=False)
     return hard[:, : code.k]

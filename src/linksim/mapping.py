@@ -167,9 +167,13 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.shape[-1]} not divisible by {m} bits/symbol"
         )
-    groups = bits.reshape(*bits.shape[:-1], -1, m).astype(np.int64)
-    weights = 1 << np.arange(m - 1, -1, -1)
-    labels = groups @ weights
+    groups = bits.reshape(*bits.shape[:-1], -1, m)
+    # Horner's rule, most significant bit first: one label-sized array in
+    # place of an int64 copy of every bit.
+    labels = groups[..., 0].astype(np.intp)
+    for j in range(1, m):
+        labels <<= 1
+        np.add(labels, groups[..., j], out=labels, casting="unsafe")
     return constellation.points[labels]
 
 
@@ -189,7 +193,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log(np.sum(a, axis=2)) + peak
 
 
-def _demap(y, no, constellation, prior, mode):
+def _demap(y, no, constellation, prior, mode, dtype):
     y = np.asarray(y)
     no = np.asarray(no, dtype=np.float64)
     if not np.all(no > 0):  # also rejects NaN
@@ -208,7 +212,8 @@ def _demap(y, no, constellation, prior, mode):
     tile = _tile_symbols(constellation)
     reduce = _logsumexp if mode == "app" else (lambda a: np.max(a, axis=2))
 
-    llr = np.empty((y.size, m))
+    # float64 metrics, each rounded once into the output dtype.
+    llr = np.empty((y.size, m), dtype)
     for f in constellation._factors:
         yf = f.part(y)
         levels = f.levels[:, None]
@@ -231,16 +236,18 @@ def _demap(y, no, constellation, prior, mode):
     return llr.reshape(out_shape)
 
 
-def demap_app(y, no, constellation: Constellation, prior=None) -> np.ndarray:
+def demap_app(y, no, constellation: Constellation, prior=None,
+              dtype=np.float64) -> np.ndarray:
     """Exact a-posteriori LLRs ln(Pr(b=1)/Pr(b=0)) with optional priors.
 
     Computed with max-normalized log-sum-exp for numerical stability.  The
     output has the same layout as the mapper input: m consecutive LLRs per
-    received symbol.
+    received symbol, in ``dtype``.
     """
-    return _demap(y, no, constellation, prior, "app")
+    return _demap(y, no, constellation, prior, "app", dtype)
 
 
-def demap_maxlog(y, no, constellation: Constellation, prior=None) -> np.ndarray:
+def demap_maxlog(y, no, constellation: Constellation, prior=None,
+                 dtype=np.float64) -> np.ndarray:
     """Max-log approximation of :func:`demap_app`."""
-    return _demap(y, no, constellation, prior, "maxlog")
+    return _demap(y, no, constellation, prior, "maxlog", dtype)

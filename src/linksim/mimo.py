@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import tile_rows
+
 MAX_CONDITION = 1e8
 
 
@@ -64,13 +66,23 @@ def lmmse_equalize(y: np.ndarray, h: np.ndarray, no: float):
     if no <= 0:
         raise ValueError("noise variance must be > 0")
     num_streams = h.shape[-1]
-    hh = h.conj().swapaxes(-1, -2)
-    a = hh @ h + no * np.eye(num_streams)
-    # Hermitian positive-definite solve; avoids forming the inverse.
-    w_h = np.linalg.solve(a, hh)
-    z = np.einsum("bsr,br->bs", w_h, y)
-    mu = np.real(np.einsum("bsr,brs->bs", w_h, h))
-    mu = np.clip(mu, 1e-300, 1.0)
-    x_hat = z / mu
-    no_eff = 1.0 / mu - 1.0
+    # no * I is float64, so the solve runs in complex128 (float64 for a
+    # real channel) whatever the input precision.
+    dtype = np.result_type(h, np.float64)
+    x_hat = np.empty((len(y), num_streams), np.result_type(dtype, y))
+    no_eff = np.empty((len(y), num_streams), np.finfo(dtype).dtype)
+    # Channel uses in tiles, so the [uses, streams, rx] temporaries stay
+    # small; each use is solved on its own, so tiling changes no value.
+    rows = tile_rows(np.dtype(dtype).itemsize * h.shape[1] * num_streams)
+    for lo in range(0, len(y), rows):
+        tile = slice(lo, lo + rows)
+        hh = h[tile].conj().swapaxes(-1, -2)
+        a = hh @ h[tile] + no * np.eye(num_streams)
+        # Hermitian positive-definite solve; avoids forming the inverse.
+        w_h = np.linalg.solve(a, hh)
+        z = np.einsum("bsr,br->bs", w_h, y[tile])
+        mu = np.real(np.einsum("bsr,brs->bs", w_h, h[tile]))
+        mu = np.clip(mu, 1e-300, 1.0)
+        np.divide(z, mu, out=x_hat[tile])
+        np.subtract(1.0 / mu, 1.0, out=no_eff[tile])
     return x_hat, no_eff

@@ -138,13 +138,15 @@ class PolarCode:
         n = self.block_length
         if n < 2 or n & (n - 1) or n > _MAX_N:
             raise ValueError(f"block length {n} must be a power of two <= {_MAX_N}")
-        frozen = np.unique(np.asarray(self.frozen_set, dtype=np.int64))
+        frozen = np.asarray(self.frozen_set, dtype=np.int64).ravel()
         if len(frozen) and (frozen.min() < 0 or frozen.max() >= n):
             raise ValueError("frozen index out of range")
-        self.frozen_set = frozen
         self.frozen_mask = np.zeros(n, dtype=bool)
         self.frozen_mask[frozen] = True
-        self.info_set = np.nonzero(~self.frozen_mask)[0]
+        # Sorted and without repeats, read off the mask: np.unique would
+        # import numpy.ma, tens of milliseconds of set-up.
+        self.frozen_set = np.flatnonzero(self.frozen_mask)
+        self.info_set = np.flatnonzero(~self.frozen_mask)
 
     @property
     def k(self) -> int:

@@ -377,8 +377,12 @@ class Pipeline:
         payload = binary_source([batch_size, self.payload_bits], rng.child(0))
         x = map_bits(self.encode(payload), self.constellation).astype(self.cdtype)
         x_hat, no_eff = self.channel(x, no, rng)
-        llr = self.demap(x_hat, no_eff, self.constellation)
-        return payload, self.decode(np.asarray(llr, dtype=self.ldtype))
+        # The decoder needs the LLRs alone: the symbols and their estimates
+        # are released before it runs.
+        del x
+        llr = self.demap(x_hat, no_eff, self.constellation, dtype=self.ldtype)
+        del x_hat, no_eff
+        return payload, self.decode(llr)
 
     def _run_awgn(self, x: np.ndarray, no: float, rng: RngStream):
         return ch.awgn(x, no, rng.child(2)), no

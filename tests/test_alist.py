@@ -65,6 +65,10 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError):
             ParityCheckMatrix(n=2, m=1, col_adj=[[0, 0], []], row_adj=[[0]])
 
+    def test_duplicate_edge_in_check_rejected(self):
+        with pytest.raises(ValueError, match="duplicate edges at check 0"):
+            ParityCheckMatrix(n=2, m=1, col_adj=[[0], []], row_adj=[[0, 0]])
+
 
 class TestParseAlist:
     def test_parses_hamming(self):

@@ -23,6 +23,18 @@ class TestComplexGaussian:
         b = complex_gaussian((100,), RngStream(2, 5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_matches_complex_sum_of_draws(self, dtype):
+        # Real parts first, then imaginary parts, scaled by sqrt(var / 2)
+        # and rounded once into the dtype.
+        rng = RngStream(3, 9)
+        g = rng.generator()
+        re, im = g.standard_normal((40, 3)), g.standard_normal((40, 3))
+        ref = (np.sqrt(0.7 / 2.0) * (re + 1j * im)).astype(dtype)
+        got = complex_gaussian((40, 3), rng, variance=0.7, dtype=dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+
 
 class TestAwgn:
     def test_noise_variance(self):

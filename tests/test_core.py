@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from linksim import core
 from linksim.core import (LLR_MAX, RngStream, binary_source, compute_ber,
-                          compute_bler, count_errors, ebnodb2no, hard_decide)
+                          compute_bler, count_errors, ebnodb2no, hard_decide,
+                          map_tiles)
 
 
 class TestRngStream:
@@ -115,3 +123,130 @@ class TestHardDecide:
         # 1 iff L > 0; the tie L == 0 decides 0.
         llr = np.array([-2.0, -1e-12, 0.0, 1e-12, LLR_MAX])
         assert np.array_equal(hard_decide(llr), [0, 0, 0, 1, 1])
+
+
+def run_with_timeout(fn, seconds=60):
+    """Run ``fn`` on a daemon thread; fail instead of hanging on a deadlock."""
+    done = []
+
+    def target():
+        try:
+            done.append((fn(), None))
+        except BaseException as error:
+            done.append((None, error))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert done, f"no result within {seconds} s"
+    result, error = done[0]
+    if error is not None:
+        raise error
+    return result
+
+
+class TestMapTiles:
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 100])
+    def test_each_start_once(self, monkeypatch, helpers, count):
+        monkeypatch.setattr(core, "_HELPERS", helpers)
+        seen = []
+        lock = threading.Lock()
+
+        def fn(start):
+            with lock:
+                seen.append(start)
+
+        map_tiles(fn, range(0, 7 * count, 7))
+        assert sorted(seen) == list(range(0, 7 * count, 7))
+
+    def test_without_helpers_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(core, "_HELPERS", 0)
+        threads = set()
+        map_tiles(lambda start: threads.add(threading.get_ident()), range(9))
+        assert threads == {threading.get_ident()}
+
+    def test_helper_count_follows_affinity(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        assert core._HELPERS == len(os.sched_getaffinity(0)) - 1
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(core, "_HELPERS", 1)
+        helper_ran = threading.Event()
+        calls = []
+
+        def fn(start):
+            calls.append(start)
+            if threading.current_thread().name.startswith("linksim-tile"):
+                helper_ran.set()
+                raise KeyError(f"tile {start}")
+            # The caller waits, so the helper gets a tile.
+            assert helper_ran.wait(30)
+
+        with pytest.raises(KeyError, match="tile"):
+            run_with_timeout(lambda: map_tiles(fn, range(50)))
+        # The other threads stop at their next tile.
+        assert len(calls) < 50
+
+    def test_caller_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(core, "_HELPERS", 2)
+
+        def fn(start):
+            if start == 3:
+                raise ZeroDivisionError
+        with pytest.raises(ZeroDivisionError):
+            run_with_timeout(lambda: map_tiles(fn, range(8)))
+
+    def test_nested_calls_do_not_deadlock(self, monkeypatch):
+        # Tiles that themselves call map_tiles, from several threads of
+        # another pool at once; a helper task waiting behind busy helpers is
+        # cancelled, not waited for.
+        monkeypatch.setattr(core, "_HELPERS", 1)
+        totals = []
+        lock = threading.Lock()
+
+        def inner(start):
+            with lock:
+                totals.append(start)
+
+        def outer(start):
+            map_tiles(inner, range(start * 10, start * 10 + 10))
+
+        def sweep_worker():
+            map_tiles(outer, range(6))
+
+        def run():
+            workers = [threading.Thread(target=sweep_worker) for _ in range(3)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+            return sorted(totals)
+
+        assert run_with_timeout(run) == sorted(list(range(60)) * 3)
+
+    def test_one_cpu_starts_no_thread(self):
+        # Under a one-CPU affinity mask a multi-tile BP decode runs on the
+        # calling thread alone and creates no pool.
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        script = (
+            "import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
+            "from linksim import core\n"
+            "from linksim.ldpc import LdpcCode5G, ldpc5g_decode\n"
+            "code = LdpcCode5G(100, 300)\n"
+            "rows = 3 * code._graph.tile_rows + 1\n"
+            "llr = np.random.default_rng(0).standard_normal((rows, 300))\n"
+            "ldpc5g_decode(llr, code)\n"
+            "assert core._HELPERS == 0, core._HELPERS\n"
+            "assert core._pool is None\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+        )
+        src = str(Path(core.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -1,14 +1,17 @@
+import copy
 import functools
 import importlib.resources
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linksim import core
 from linksim.alist import ParityCheckMatrix
 from linksim.channel import awgn
 from linksim.core import LLR_MAX, RngStream, binary_source, ebnodb2no, hard_decide
@@ -678,13 +681,21 @@ ORACLE_RUNS = [(num_iter, variant, scale, early_stop)
                for early_stop in (True, False) for num_iter in (1, 7)]
 
 
+def with_tile_rows(g, rows):
+    """A shallow copy of graph ``g`` whose BP tiles hold ``rows`` rows."""
+    g = copy.copy(g)
+    g.tile_rows = rows
+    return g
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_corpus(k, n):
     """The decoding graph of the (k, n) code and 8 rows of LLRs on it:
     Gaussian, on a 0.5 grid (ties and zeros), and saturated at +-40 with 0,
-    1e-13 and -1e-300 mixed in."""
+    1e-13 and -1e-300 mixed in.  The graph's tiles hold 3 rows, so every
+    decode of the corpus is three tiles for the helper threads to share."""
     code = LdpcCode5G(k, n)
-    g = code._graph
+    g = with_tile_rows(code._graph, 3)
     rng = RngStream(k, n)
     bits = code.encode_full(binary_source([8, k], rng.child(0)))
     sign = 2.0 * bits[:, code._decode_cols] - 1.0
@@ -772,3 +783,113 @@ class TestEdgeMajorMatchesFlat:
                               timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "6 passed" in proc.stdout
+
+
+def add_at_derate(code, llr):
+    """The mother-code LLRs as rate matching was first undone: one
+    ``np.add.at`` scatter of every sent LLR, fillers pinned to -LLR_MAX."""
+    mother = np.zeros((llr.shape[0], code.n_full), llr.dtype)
+    np.add.at(mother, (slice(None), code.transmit_idx), llr)
+    mother[:, code.filler_idx] = -LLR_MAX
+    return mother
+
+
+class TestDerate:
+    # (100, 1000) reads the circular buffer twice and (40, 2000) ten
+    # times; the others send part of it once.
+    @pytest.mark.parametrize("k,n", [(500, 1000), (512, 1024), (100, 1000),
+                                     (300, 400), (40, 2000)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_columns_match_add_at(self, k, n, dtype):
+        code = LdpcCode5G(k, n)
+        gen = RngStream(k, n).generator()
+        llr = (3.0 * gen.standard_normal((9, n))).astype(dtype)
+        llr[:, ::5] = -0.0  # np.add.at turns a negative zero positive
+        llr[:, 1::7] = np.round(llr[:, 1::7])
+        ref = add_at_derate(code, llr)
+        got = code._derate(llr, code._transmit_cols, len(code._decode_cols))
+        assert_same_bytes([got, code.derate_match(llr)],
+                          [ref[:, code._decode_cols], ref])
+
+    def test_integer_llrs_become_float64(self):
+        code = LdpcCode5G(40, 2000)
+        llr = np.arange(2000)[None, :] % 7 - 3
+        assert_same_bytes([code.derate_match(llr)],
+                          [add_at_derate(code, llr.astype(np.float64))])
+
+
+def pooled_and_inline(monkeypatch, decode):
+    """``decode()`` with three helper threads and with none."""
+    monkeypatch.setattr(core, "_HELPERS", 3)
+    pooled = decode()
+    monkeypatch.setattr(core, "_HELPERS", 0)
+    return pooled, decode()
+
+
+class TestPooledTiles:
+    """The tile loop on the helper threads against the same loop inline."""
+
+    @pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_inline(self, monkeypatch, variant, early_stop,
+                                dtype):
+        code = LdpcCode5G(100, 300)
+        g = code._graph
+        tile = g.tile_rows
+        _, llr = qam16_llr(code, 2 * tile + 3, 2.0, seed=17)
+        llr = code._derate(llr, code._transmit_cols, len(code._decode_cols))
+        llr = np.ascontiguousarray(llr, dtype=dtype)
+        # The code's own tiles at batch 1 and tile_rows +- 1, then 4-row
+        # tiles: many per call.
+        for graph, batch in ((g, 1), (g, tile - 1), (g, tile), (g, tile + 1),
+                             (with_tile_rows(g, 4), 2 * tile + 3)):
+            run = (llr[:batch], graph, 8, variant, 0.75, early_stop)
+            pooled, inline = pooled_and_inline(
+                monkeypatch, lambda: _bp_tiled(*run))
+            assert_same_bytes(pooled, inline)
+
+    def test_hard_only_matches_soft(self, monkeypatch):
+        code = LdpcCode5G(200, 600)
+        _, llr = qam16_llr(code, 50, 2.0, seed=3)
+        mother = code._derate(llr, code._transmit_cols,
+                              len(code._decode_cols))
+        g = with_tile_rows(code._graph, 7)
+        llr_out, hard = _bp_tiled(mother, g, 10, "sum-product", 0.75, True)
+        none, hard_only = _bp_tiled(mother, g, 10, "sum-product", 0.75, True,
+                                    soft=False)
+        assert none is None
+        assert_same_bytes([hard_only, hard], [hard, hard_decide(llr_out)])
+
+    def test_concurrent_callers_match_one_at_a_time(self, monkeypatch):
+        # Two threads decode different batches through the pool at once,
+        # as the sweep's workers do.
+        monkeypatch.setattr(core, "_HELPERS", 2)
+        codes = [LdpcCode5G(100, 300), LdpcCode5G(200, 600)]
+        jobs = []
+        for i, code in enumerate(codes * 2):
+            _, llr = qam16_llr(code, 40 + 9 * i, 1.5 + i, seed=i)
+            jobs.append((llr.astype(np.float32), code,
+                         ("sum-product", "min-sum")[i % 2]))
+        for code in codes:
+            code._graph = with_tile_rows(code._graph, 6)
+        alone = [ldpc5g_decode(llr, code, num_iter=12, variant=variant)
+                 for llr, code, variant in jobs]
+        together = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def worker(i):
+            llr, code, variant = jobs[i]
+            start.wait()
+            together[i] = [ldpc5g_decode(llr, code, num_iter=12,
+                                         variant=variant) for _ in range(3)]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        for runs, ref in zip(together, alone):
+            assert runs is not None
+            assert all(np.array_equal(got, ref) for got in runs)

@@ -147,6 +147,15 @@ class TestMapBits:
         x = map_bits(bits, c)
         assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
+    @pytest.mark.parametrize("kind,m", [("qam", 2), ("psk", 3), ("qam", 10)])
+    def test_labels_match_weighted_sum(self, dtype, kind, m):
+        c = Constellation(kind, m)
+        bits = binary_source([5, 12 * m], RngStream(m)).astype(dtype)
+        groups = bits.reshape(5, -1, m).astype(np.int64)
+        ref = c.points[groups @ (1 << np.arange(m - 1, -1, -1))]
+        assert np.array_equal(map_bits(bits, c), ref)
+
 
 class TestDemapApp:
     @pytest.mark.parametrize("m", [2, 4, 6])
@@ -322,3 +331,19 @@ class TestDemapEquivalence:
             else:
                 np.testing.assert_allclose(llr[sel], ref, rtol=1e-12,
                                            atol=1e-12)
+
+
+class TestDemapDtype:
+    @pytest.mark.parametrize("demap", [demap_app, demap_maxlog])
+    @pytest.mark.parametrize("per_symbol_no", [False, True])
+    def test_float32_output_is_rounded_float64(self, demap, per_symbol_no):
+        # One rounding of the float64 metrics, as a cast of the float64
+        # output would make.
+        c = Constellation("qam", 4)
+        g = RngStream(9, 0).generator()
+        y = (g.standard_normal((6, 700)) + 1j * g.standard_normal((6, 700)))
+        no = g.uniform(0.05, 2.0, size=y.shape) if per_symbol_no else 0.3
+        ref = demap(y, no, c).astype(np.float32)
+        got = demap(y, no, c, dtype=np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))

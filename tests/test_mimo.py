@@ -118,3 +118,38 @@ class TestLmmseEqualize:
         y = np.array([[np.inf + 0j, 0]])
         with pytest.raises(ValueError):
             lmmse_equalize(y, np.ones((1, 2, 2), dtype=complex), 0.1)
+
+
+def whole_batch_lmmse(y, h, no):
+    """The equalizer as it ran before its channel uses were tiled."""
+    hh = h.conj().swapaxes(-1, -2)
+    a = hh @ h + no * np.eye(h.shape[-1])
+    w_h = np.linalg.solve(a, hh)
+    z = np.einsum("bsr,br->bs", w_h, y)
+    mu = np.clip(np.real(np.einsum("bsr,brs->bs", w_h, h)), 1e-300, 1.0)
+    return z / mu, 1.0 / mu - 1.0
+
+
+class TestLmmseTiles:
+    # 4x4 complex128 channels: 4096 channel uses per tile.
+    @pytest.mark.parametrize("uses", [1, 4095, 4096, 4097, 16384, 20000])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_bytes_match_whole_batch(self, uses, dtype):
+        rng = RngStream(uses, 1)
+        h = complex_gaussian((uses, 4, 4), rng.child(0), dtype=dtype)
+        y = complex_gaussian((uses, 4), rng.child(1), dtype=dtype)
+        got = lmmse_equalize(y, h, 0.2)
+        ref = whole_batch_lmmse(y, h, 0.2)
+        # complex128 and float64 whatever the input precision: no * I is
+        # float64.
+        assert [a.dtype for a in got] == [np.complex128, np.float64]
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_uneven_antennas(self):
+        h = random_channels(9000, 3, 2, 4)
+        y = complex_gaussian((9000, 3), RngStream(5))
+        for a, b in zip(lmmse_equalize(y, h, 0.5),
+                        whole_batch_lmmse(y, h, 0.5)):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))

@@ -103,6 +103,16 @@ class TestConstruction:
         assert code.num_stages == 4
         assert len(code.frozen_set) + len(code.info_set) == 16
 
+    def test_frozen_set_sorted_without_repeats(self):
+        code = PolarCode(8, [5, 1, 1, 3, 5])
+        assert code.frozen_set.tolist() == [1, 3, 5]
+        assert code.info_set.tolist() == [0, 2, 4, 6, 7]
+        assert code.frozen_set.dtype == np.int64
+        with pytest.raises(ValueError):
+            PolarCode(8, [1, 8])
+        with pytest.raises(ValueError):
+            PolarCode(8, [-1])
+
 
 class TestEncode:
     def test_transform_self_inverse(self):

@@ -456,3 +456,48 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "linksim" in proc.stdout
+
+
+# The shapes of the benchmark workloads' configs.
+WORKLOAD_SHAPES = {
+    "ldpc-awgn": {"code": {"family": "ldpc5g", "k": 500, "n": 1000,
+                           "decoder": {"variant": "sum-product"}},
+                  "modulation": {"kind": "qam", "bits_per_symbol": 4,
+                                 "demapper": "maxlog"},
+                  "precision": "single"},
+    "polar-scl": {"code": {"family": "polar5g", "k": 512, "n": 1024,
+                           "decoder": {"type": "scl", "list_size": 8,
+                                       "crc": "crc24a"}}},
+    "conv-tdl": {"code": {"family": "conv", "k": 2298,
+                          "constraint_length": 7, "generators": [91, 121]},
+                 "modulation": {"kind": "qam", "bits_per_symbol": 6},
+                 "channel": {"kind": "tdl", "powers": [0.5, 0.3, 0.2],
+                             "delays_s": [0.0, 1e-6, 3e-6],
+                             "doppler_hz": 100.0},
+                 "ofdm": {"enabled": True, "fft_size": 64,
+                          "subcarrier_spacing": 15625.0, "num_symbols": 14,
+                          "cp_length": 6, "pilots": {"symbol_indices": [2, 11]}}},
+    "ldpc-mimo": {"code": {"family": "ldpc5g", "k": 512, "n": 1024,
+                           "decoder": {"variant": "min-sum"}},
+                  "modulation": {"kind": "qam", "bits_per_symbol": 4},
+                  "channel": {"kind": "flat"},
+                  "mimo": {"enabled": True, "num_tx": 4, "num_rx": 4}},
+}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_SHAPES)
+def test_setup_does_not_import_numpy_ma(name):
+    # A 1-D np.unique imports numpy.ma: about a megabyte and tens of
+    # milliseconds of every run's set-up.
+    cfg = base_config(**WORKLOAD_SHAPES[name])
+    script = (
+        "import json, sys\n"
+        "from linksim.sweep import SimConfig, build_pipeline\n"
+        f"build_pipeline(SimConfig.from_dict(json.loads({json.dumps(cfg)!r})))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(linksim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

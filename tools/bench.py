@@ -12,6 +12,9 @@ others 5) and prints the median seconds and a rate.  The groups:
   sum-product, 1024 rows, max-log demap, at 3 dB (all iterations run) and
   7 dB (rows stop early): the Listing-1 decoder; (512,1024) min-sum, 256
   rows, APP demap, at 3 dB: the min-sum branch at a 4x smaller batch.
+  The row tiles run on the calling thread and one helper thread per
+  further CPU of the affinity mask, whose size is printed first;
+  ``taskset -c 0 python3 tools/bench.py bp`` times one thread.
 - scl: the polar5g (1024, 512) code with CRC-24A (488 payload bits), as
   in the benchmark's polar-cascl sweep, on 256 BPSK AWGN rows at
   Eb/N0 = 1 dB.  CA-SCL with L=8 and L=32 (``polar_scl_decode``,
@@ -49,6 +52,7 @@ from linksim import (CRC_POLYNOMIALS, Constellation, ConvCode,  # noqa: E402
                      ebnodb2no, ldpc5g_decode, ldpc5g_encode, map_bits,
                      polar5g_construct, polar_encode, polar_sc_decode,
                      polar_scl_decode, viterbi_decode)
+from linksim.core import cpu_count  # noqa: E402
 
 
 def median_seconds(call, repeat: int) -> float:
@@ -159,7 +163,9 @@ def main(argv=None) -> int:
             parser.error(f"unknown group {name!r}")
     if args.repeat is not None and args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    print(f"nproc {os.cpu_count()}, numpy {np.__version__}")
+    # The BP decoder's row tiles run on every CPU of the affinity mask.
+    print(f"nproc {os.cpu_count()}, affinity CPUs {cpu_count()}, "
+          f"numpy {np.__version__}")
     for name in args.groups or GROUPS:
         cases, default_repeat = GROUPS[name]
         repeat = args.repeat or default_repeat
