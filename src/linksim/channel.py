@@ -44,7 +44,11 @@ def awgn(x: np.ndarray, no: float, rng: RngStream) -> np.ndarray:
         raise ValueError(f"noise variance must be >= 0, got {no}")
     if no == 0:
         return x.copy()
-    return x + complex_gaussian(x.shape, rng, variance=no, dtype=x.dtype)
+    # Adding x into the noise gives the bytes of x + noise (addition
+    # commutes) without a second x-sized array.
+    noise = complex_gaussian(x.shape, rng, variance=no, dtype=x.dtype)
+    noise += x
+    return noise
 
 
 @dataclass

@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help="CSV output path (default: stdout)")
     run.add_argument("--workers", type=int, default=1,
-                     help=f"parallel workers (env {ENV_WORKERS} overrides)")
+                     help=f"batches per wave (env {ENV_WORKERS} overrides); "
+                          "the CPU affinity mask sets the threads")
     run.add_argument("--precision", choices=["single", "double"], default=None,
                      help="override the config precision")
 

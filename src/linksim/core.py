@@ -123,9 +123,10 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Helper threads of map_tiles: one per further CPU, so the calling thread
-# and the helpers use each CPU once.  The affinity mask (``taskset``) is
-# the only control, as with a threaded BLAS.
+# Helper threads of map_tiles, the only threads linksim starts: one per
+# further CPU, so the calling thread and the helpers use each CPU once.  The
+# sweep's batch waves and the BP row tiles share them.  The affinity mask
+# (``taskset``) is the only control, as with a threaded BLAS.
 _HELPERS = cpu_count() - 1
 _pool = None
 _pool_lock = threading.Lock()

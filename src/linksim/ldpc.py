@@ -388,14 +388,13 @@ def _lift(entries: np.ndarray, z: int) -> np.ndarray:
     return entries[:, 1:2] * z + (np.arange(z) + entries[:, 2:]) % z
 
 
-def _block_xor(bits: np.ndarray, entries: np.ndarray, z: int) -> np.ndarray:
-    """Per base row of ``entries``, the XOR of the circulant-shifted
-    Z-blocks of ``bits`` [batch, n] that its entries select: [batch, rows, z].
-
-    ``entries`` is sorted by row; a row without entries is left out.
-    """
-    starts = np.flatnonzero(np.diff(entries[:, 0], prepend=-1))
-    return np.bitwise_xor.reduceat(bits[:, _lift(entries, z)], starts, axis=1)
+def _xor_circulant(target: np.ndarray, block: np.ndarray, shift: int) -> None:
+    """``target[:, j] ^= block[:, (j + shift) % z]`` in place, for [batch, z]
+    views and ``0 <= shift < z``: one circulant of an entry applied to the
+    Z-block it selects."""
+    z = block.shape[-1]
+    np.bitwise_xor(target[:, :z - shift], block[:, shift:], out=target[:, :z - shift])
+    np.bitwise_xor(target[:, z - shift:], block[:, :shift], out=target[:, z - shift:])
 
 
 @dataclass
@@ -504,17 +503,20 @@ class LdpcCode5G:
 
         # Structured solve of the accumulate core: the sum of the four core
         # rows leaves only the shift-1 circulant acting on p1.
-        s = _block_xor(word, base[core & (base[:, 1] < kb)], z)
+        s = np.zeros((batch, 4, z), dtype=np.uint8)
+        for row, col, shift in base[core & (base[:, 1] < kb)].tolist():
+            _xor_circulant(s[:, row], blocks[:, col], shift % z)
         ssum = s[:, 0] ^ s[:, 1] ^ s[:, 2] ^ s[:, 3]
         p = blocks[:, kb:]
         p[:, 0] = np.roll(ssum, 1, axis=-1)
         p[:, 1] = s[:, 0] ^ ssum  # row 0: shift-1 on p1 contributes ssum
         p[:, 2] = s[:, 1] ^ p[:, 0] ^ p[:, 1]
         p[:, 3] = s[:, 2] ^ p[:, 2]
-        # Extension row r >= 4 checks the systematic and core parity blocks
-        # plus its own parity block through the identity, so that block is
-        # the XOR of the others.
-        p[:, 4:] = _block_xor(word, base[~core & (base[:, 1] < kb + 4)], z)
+        # Extension row r >= 4 checks the systematic and core parity blocks,
+        # final by now, plus its own parity block through the identity, so
+        # that block is the XOR of the others.
+        for row, col, shift in base[~core & (base[:, 1] < kb + 4)].tolist():
+            _xor_circulant(p[:, row], blocks[:, col], shift % z)
         return word
 
     def derate_match(self, llr: np.ndarray) -> np.ndarray:

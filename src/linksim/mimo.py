@@ -82,7 +82,9 @@ def lmmse_equalize(y: np.ndarray, h: np.ndarray, no: float):
         w_h = np.linalg.solve(a, hh)
         z = np.einsum("bsr,br->bs", w_h, y[tile])
         mu = np.real(np.einsum("bsr,brs->bs", w_h, h[tile]))
-        mu = np.clip(mu, 1e-300, 1.0)
+        # Below 1, so no_eff stays positive where mu rounds to 1: a noise
+        # variance far below the channel gain.  Every mu < 1 is kept.
+        mu = np.clip(mu, 1e-300, np.nextafter(1.0, 0.0))
         np.divide(z, mu, out=x_hat[tile])
         np.subtract(1.0 / mu, 1.0, out=no_eff[tile])
     return x_hat, no_eff

@@ -8,13 +8,12 @@ field's default, type and range or choice set and raises
 rejected.  :meth:`SimConfig.from_dict` reads the sweep-level fields and
 builds a :class:`Pipeline`, which reads the rest; ``CODECS`` maps each
 ``code.family`` to the builder of its encoder and decoder.  Random streams
-are keyed by (seed, snr_index, batch_index) — never by worker id — so a
-sweep is bit-identical for any worker count.
+are keyed by (seed, snr_index, batch_index) — never by thread — so a
+sweep is bit-identical for any worker count and any CPU count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import difflib
 import io
@@ -28,7 +27,7 @@ from . import channel as ch
 from . import mimo as mimo_mod
 from . import ofdm as ofdm_mod
 from .convcode import ConvCode, conv_encode, viterbi_decode
-from .core import RngStream, binary_source, count_errors, ebnodb2no, hard_decide
+from .core import RngStream, binary_source, count_errors, ebnodb2no, hard_decide, map_tiles
 from .ldpc import BP_VARIANTS, LdpcCode5G, ldpc5g_decode, ldpc5g_encode
 from .mapping import Constellation, demap_app, demap_maxlog, map_bits
 from .polar import (CRC_POLYNOMIALS, crc_attach, polar5g_construct,
@@ -426,24 +425,24 @@ def build_pipeline(cfg: SimConfig) -> Pipeline:
     return Pipeline(cfg)
 
 
-def _run_point(pool, pipeline, cfg, snr_idx, ebno_db, num_workers):
+def _run_point(pipeline, cfg, snr_idx, ebno_db, num_workers):
     """Run one SNR point; returns (bit_errors, block_errors, batches, reason).
 
-    Batches run in waves of ``num_workers``.  Their counts are added up in
-    batch order, and the point stops at the first batch at which the block
-    errors reach ``target_block_errors``; later batches of that wave are
-    discarded.
+    Batches run in waves of ``num_workers`` through :func:`core.map_tiles`;
+    the point stops at the first batch, in batch order, whose block errors
+    reach ``target_block_errors``, and later batches of its wave are dropped.
     """
+    counts = {}  # batch -> (bit errors, block errors)
+    def run(b):
+        stream = RngStream(cfg.seed, ((snr_idx + 1) << 32) | (b + 1))
+        counts[b] = count_errors(*pipeline.run_batch(ebno_db, cfg.batch_size, stream))
+
     bit_errors = block_errors = 0
     for first in range(0, cfg.max_batches_per_point, num_workers):
         wave = range(first, min(first + num_workers, cfg.max_batches_per_point))
-        futures = [pool.submit(pipeline.run_batch, ebno_db, cfg.batch_size,
-                               RngStream(cfg.seed, ((snr_idx + 1) << 32) | (b + 1)))
-                   for b in wave]
-        counts = [count_errors(*fut.result()) for fut in futures]
-        for b, (bit_err, block_err) in zip(wave, counts):
-            bit_errors += bit_err
-            block_errors += block_err
+        map_tiles(run, wave)
+        for b, (bit_err, block_err) in zip(wave, map(counts.pop, wave)):
+            bit_errors, block_errors = bit_errors + bit_err, block_errors + block_err
             if block_errors >= cfg.target_block_errors:
                 return bit_errors, block_errors, b + 1, "target-errors"
     return bit_errors, block_errors, cfg.max_batches_per_point, "max-batches"
@@ -458,24 +457,25 @@ def run_sweep(cfg: SimConfig, num_workers: int = 1) -> SweepResult:
     After two consecutive zero-error points, the remaining (higher) points
     are skipped and marked "early-exit".  Batch ``b`` of point ``i`` draws
     from the stream ``(seed, i, b)``, so results are deterministic in
-    (config, seed) regardless of ``num_workers``.
+    (config, seed) regardless of ``num_workers`` (>= 1), the batches per wave.
     """
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     pipeline = build_pipeline(cfg)
     result = SweepResult(config=cfg)
     consecutive_zero = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=num_workers) as pool:
-        for snr_idx, ebno_db in enumerate(cfg.snr_points):
-            start = time.perf_counter()
-            bit_errors, block_errors, batches, stop_reason = (
-                (0, 0, 0, "early-exit") if consecutive_zero >= 2 else
-                _run_point(pool, pipeline, cfg, snr_idx, ebno_db, num_workers))
-            consecutive_zero = consecutive_zero + 1 if block_errors == 0 else 0
-            blocks = batches * cfg.batch_size
-            result.points.append(SnrPointResult(
-                ebno_db=ebno_db, bits=blocks * pipeline.payload_bits,
-                bit_errors=bit_errors, blocks=blocks, block_errors=block_errors,
-                batches=batches, stop_reason=stop_reason,
-                elapsed_s=time.perf_counter() - start if batches else 0.0))
+    for snr_idx, ebno_db in enumerate(cfg.snr_points):
+        start = time.perf_counter()
+        bit_errors, block_errors, batches, stop_reason = (
+            (0, 0, 0, "early-exit") if consecutive_zero >= 2 else
+            _run_point(pipeline, cfg, snr_idx, ebno_db, num_workers))
+        consecutive_zero = consecutive_zero + 1 if block_errors == 0 else 0
+        blocks = batches * cfg.batch_size
+        result.points.append(SnrPointResult(
+            ebno_db=ebno_db, bits=blocks * pipeline.payload_bits,
+            bit_errors=bit_errors, blocks=blocks, block_errors=block_errors,
+            batches=batches, stop_reason=stop_reason,
+            elapsed_s=time.perf_counter() - start if batches else 0.0))
     return result
 
 

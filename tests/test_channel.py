@@ -50,6 +50,16 @@ class TestAwgn:
         with pytest.raises(ValueError):
             awgn(np.zeros(4, dtype=complex), -0.1, RngStream(0))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128,
+                                       np.float32, np.float64])
+    def test_bytes_equal_x_plus_noise(self, dtype):
+        x = complex_gaussian((64, 50), RngStream(6), dtype=np.complex128)
+        x = (x if np.dtype(dtype).kind == "c" else x.real).astype(dtype)
+        noise = complex_gaussian(x.shape, RngStream(7), variance=0.3, dtype=dtype)
+        y = awgn(x, 0.3, RngStream(7))
+        assert y.dtype == dtype
+        assert y.tobytes() == (x + noise).tobytes()
+
 
 class TestCorrelationPair:
     def test_identity_factory(self):

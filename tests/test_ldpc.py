@@ -533,6 +533,21 @@ class TestLdpcCode5G:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    @pytest.mark.parametrize("k,n,rows", [(500, 1000, 1024), (8000, 9000, 64)])
+    def test_encode_peak_near_codeword_size(self, k, n, rows):
+        # Each entry's Z-block is XORed into its target in place; gathering
+        # a [rows, entries, z] array of Z-blocks peaked at about 5x the
+        # codeword at both shapes.
+        code = LdpcCode5G(k, n)
+        bits = binary_source([rows, k], RngStream(13))
+        tracemalloc.start()
+        try:
+            code.encode_full(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * code.n_full
+
     def test_no_dense_parity_check_block(self):
         assert not hasattr(LdpcCode5G(8000, 9000), "_h_sys")
 

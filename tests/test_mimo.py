@@ -109,6 +109,13 @@ class TestLmmseEqualize:
         ratio = err[sel].mean() / no_eff[sel].mean()
         assert ratio == pytest.approx(1.0, abs=0.1)
 
+    def test_no_eff_positive_when_mu_rounds_to_one(self):
+        # mu = 1e12 / (1e12 + 1e-7) is 1.0 in float64; a zero no_eff made
+        # the demapper reject a valid high-SNR sweep.
+        h = np.full((3, 1, 1), 1e6, dtype=complex)
+        _, no_eff = lmmse_equalize(np.ones((3, 1), complex), h, 1e-7)
+        assert np.all(no_eff > 0)
+
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
             lmmse_equalize(np.ones((1, 2), dtype=complex),

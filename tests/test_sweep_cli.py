@@ -1,17 +1,26 @@
 import copy
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
+
 import linksim
 from linksim.cli import main
-from linksim.sweep import (CSV_COLUMNS, ConfigError, SimConfig, format_csv,
-                           read_csv, run_sweep, write_csv)
+from linksim.sweep import (CSV_COLUMNS, ConfigError, Pipeline, SimConfig,
+                           format_csv, read_csv, run_sweep, write_csv)
 
 
 def base_config(**overrides):
@@ -51,6 +60,28 @@ def set_fields(cfg, updates):
 def stats(result):
     return [(p.ebno_db, p.bits, p.bit_errors, p.blocks, p.block_errors,
              p.batches, p.stop_reason) for p in result.points]
+
+
+def csv_without_elapsed(result):
+    return "".join(line.rsplit(",", 1)[0] + "\n"
+                   for line in format_csv(result).splitlines())
+
+
+def record_batch_threads(monkeypatch):
+    """Names of the threads that run each ``Pipeline.run_batch`` call."""
+    names = []
+    run_batch = Pipeline.run_batch
+
+    def recorded(self, *args):
+        names.append(threading.current_thread().name)
+        return run_batch(self, *args)
+
+    monkeypatch.setattr(Pipeline, "run_batch", recorded)
+    return names
+
+
+# Every batch of both points runs: waves of 2 + 1 or 3 at 2 and 3 workers.
+ALL_BATCHES = {"sweep.target_block_errors": 10**6}
 
 
 class TestSimConfig:
@@ -118,6 +149,59 @@ class TestRunSweep:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(SimConfig.from_dict(base_config()), num_workers=0)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError):
+            run_sweep(SimConfig.from_dict(base_config()), num_workers=-1)
+
+    def test_one_worker_runs_batches_on_calling_thread(self, monkeypatch):
+        names = record_batch_threads(monkeypatch)
+        run_sweep(SimConfig.from_dict(set_fields(base_config(), ALL_BATCHES)))
+        assert names == [threading.current_thread().name] * 6
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_batches_run_on_caller_and_tile_helpers(self, monkeypatch, workers):
+        # The sweep starts no thread of its own: a wave runs on the calling
+        # thread and the helper threads of core.map_tiles.
+        names = record_batch_threads(monkeypatch)
+        cfg = SimConfig.from_dict(set_fields(base_config(), ALL_BATCHES))
+        run_sweep(cfg, num_workers=workers)
+        assert len(names) == 6
+        caller = threading.current_thread().name
+        assert all(n == caller or n.startswith("linksim-tile") for n in names)
+
+    def test_batch_exception_reaches_caller(self, monkeypatch):
+        run_batch = Pipeline.run_batch
+
+        def fail_batch_1(self, ebno_db, batch_size, rng):
+            if rng.stream_id & 0xFFFFFFFF == 2:  # batch 1 of point 0
+                raise RuntimeError("batch 1 failed")
+            return run_batch(self, ebno_db, batch_size, rng)
+
+        monkeypatch.setattr(Pipeline, "run_batch", fail_batch_1)
+        cfg = SimConfig.from_dict(set_fields(base_config(), ALL_BATCHES))
+        with pytest.raises(RuntimeError, match="batch 1 failed"):
+            run_sweep(cfg, num_workers=2)
+
+    def test_concurrent_sweeps_match_sequential(self):
+        # Two sweeps from two outside threads share the helper threads, and
+        # the LDPC decoder's row tiles nest inside their batches.
+        cfgs = [SimConfig.from_dict(set_fields(base_config(**LDPC, seed=seed),
+                                               ALL_BATCHES)) for seed in (1, 2)]
+        expected = [csv_without_elapsed(run_sweep(cfg, num_workers=2))
+                    for cfg in cfgs]
+        got = [None, None]
+
+        def sweep(i):
+            got[i] = csv_without_elapsed(run_sweep(cfgs[i], num_workers=2))
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
 
     def test_seed_changes_results(self):
         a = run_sweep(SimConfig.from_dict(base_config(seed=1)))
@@ -501,3 +585,89 @@ def test_setup_does_not_import_numpy_ma(name):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_csv_independent_of_simd_dispatch(name):
+    # NumPy picks its log, exp and tanh kernels by CPU feature, and their
+    # last bits differ between kernels; NPY_DISABLE_CPU_FEATURES lowers the
+    # dispatch of the child process only.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    disabled = [f for f in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+                if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip("the host dispatches no feature above the baseline")
+    baseline = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    check = ("import sys\n"
+             "from numpy._core._multiarray_umath import __cpu_features__\n"
+             "sys.exit(any(__cpu_features__[f] for f in sys.argv[1:]))\n")
+    assert subprocess.run([sys.executable, "-c", check, *disabled],
+                          env=baseline, timeout=60).returncode == 0
+
+    def sweep_csv(env):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"),
+             "--workload", name, "--seed", "42", "--batch-size", "16"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csv = json.loads(proc.stdout.splitlines()[-1])["csv"]
+        return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+
+    assert sweep_csv(baseline) == sweep_csv(dict(os.environ))
+
+
+# Bases of the config fuzz: the benchmark workloads, flat MIMO with
+# correlation and with ZF precoding, polar SC and uncoded.
+FUZZ_BASES = {name: workloads.config(name, 42) for name in workloads.NAMES}
+FUZZ_BASES.update({
+    "mimo-correlated": set_fields(base_config(**FLAT), {
+        "channel.correlation": {"r_tx": [[1, 0.5], [0.5, 1]],
+                                "r_rx": [[1, 0.2], [0.2, 1]]}}),
+    "mimo-zf": set_fields(base_config(**FLAT), {"mimo.precoder": "zf"}),
+    "polar-sc": set_fields(base_config(**POLAR), {"code.decoder.type": "sc"}),
+    "uncoded": base_config(),
+})
+# Wrong or edge values.  Integers stop at 64: a valid config with a far
+# larger list size, iteration count, block or antenna count can take more
+# memory or time than a test may.
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 3, 64, -0.5, 0.0, 0.5, 1.5,
+               1e300, float("nan"), "", "x", "sc", [], [0.0], [1.0, 0.0],
+               [3, 64], {}, {"x": 1}]
+
+
+def _field_paths(d, prefix=""):
+    for key, value in d.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _field_paths(value, f"{prefix}{key}.")
+
+
+FUZZ_CASES = [(base, path, i) for base, cfg in FUZZ_BASES.items()
+              for path in _field_paths(cfg) for i in range(len(FUZZ_VALUES))]
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis is not installed")
+def test_config_fuzz_raises_only_config_error():
+    # A bad field must exit 2 (ConfigError), never 1: from_dict raises
+    # nothing else, and a config it accepts runs.
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(FUZZ_CASES))
+    def check(case):
+        base, path, i = case
+        raw = set_fields(copy.deepcopy(FUZZ_BASES[base]), {path: FUZZ_VALUES[i]})
+        try:
+            cfg = SimConfig.from_dict(raw)
+        except ConfigError:
+            return
+        short = set_fields(raw, {"sweep.batch_size": 4, "sweep.max_batches_per_point":
+                                 min(cfg.max_batches_per_point, 2)})
+        run_sweep(SimConfig.from_dict(short))
+
+    check()

@@ -2,10 +2,11 @@
 
     python3 tools/bench.py [GROUP ...] [--repeat N]
 
-GROUP is one of bp, scl, demap, viterbi; with none given, every group
-runs.  Each case runs one call on a fixed input drawn from a fixed seed,
-so every run sees the same input, ``--repeat`` times (default: BP 3, the
-others 5) and prints the median seconds and a rate.  The groups:
+GROUP is one of bp, scl, demap, viterbi, encode; with none given, every
+group runs.  Each case runs one call on a fixed input drawn from a fixed
+seed, so every run sees the same input, ``--repeat`` times (default: BP 3,
+encode 7, the others 5) and prints the median seconds and a rate.  The
+groups:
 
 - bp: ``ldpc5g_decode`` on float32 16-QAM AWGN LLRs, 20 iterations, also
   printing the edge count of the graph BP runs on.  (500,1000)
@@ -31,6 +32,8 @@ others 5) and prints the median seconds and a rate.  The groups:
   64 rows of k=500, and 128 rows of k=2298, the shape of the benchmark's
   ofdm-tdl sweep; the K=9 rate-1/3 (557, 663, 711) code (256 states):
   128 rows of k=500.
+- encode: ``ldpc5g_encode`` of random bits: (500,1000) at 1024 rows, the
+  listing1 sweep's encoder, and (512,1024) at 256 rows, mimo-ldpc's.
 """
 
 from __future__ import annotations
@@ -146,9 +149,19 @@ def bench_viterbi(repeat):
                f"{rows * steps / seconds / 1e6:.3f}")
 
 
+def bench_encode(repeat):
+    yield "case", "seconds", "codewords/s"
+    for k, n, rows in ((500, 1000, 1024), (512, 1024, 256)):
+        code = LdpcCode5G(k, n)
+        bits = binary_source([rows, k], RngStream(9, k))
+        seconds = median_seconds(lambda: ldpc5g_encode(bits, code), repeat)
+        yield f"{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
+
+
 # name -> (cases, default repeat)
 GROUPS = {"bp": (bench_bp, 3), "scl": (bench_scl, 5),
-          "demap": (bench_demap, 5), "viterbi": (bench_viterbi, 5)}
+          "demap": (bench_demap, 5), "viterbi": (bench_viterbi, 5),
+          "encode": (bench_encode, 7)}
 
 
 def main(argv=None) -> int:
