@@ -100,12 +100,16 @@ def flat_fading(x: np.ndarray, corr: Optional[CorrelationPair], num_rx: int,
     """
     x = np.atleast_2d(np.asarray(x))
     batch, num_tx = x.shape
-    h = complex_gaussian((batch, num_rx, num_tx), rng)
+    dtype = x.dtype if np.iscomplexobj(x) else np.complex128
+    # complex_gaussian rounds its float64 draws into the dtype it is given,
+    # so a direct draw has the bytes of a complex128 draw cast down.  A
+    # correlation is applied in complex128, then cast.
+    h = complex_gaussian((batch, num_rx, num_tx), rng,
+                         dtype=dtype if corr is None else np.complex128)
     if corr is not None:
         if corr.r_tx.shape[0] != num_tx or corr.r_rx.shape[0] != num_rx:
             raise ValueError("correlation dimensions do not match antennas")
-        h = _psd_sqrt(corr.r_rx) @ h @ _psd_sqrt(corr.r_tx)
-    h = h.astype(x.dtype if np.iscomplexobj(x) else np.complex128)
+        h = (_psd_sqrt(corr.r_rx) @ h @ _psd_sqrt(corr.r_tx)).astype(dtype, copy=False)
     y = np.einsum("brt,bt->br", h, x)
     return y, h
 

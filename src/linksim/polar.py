@@ -160,16 +160,13 @@ class PolarCode:
 def polar5g_construct(k: int, n: int, crc: Optional[CrcPolynomial] = None) -> PolarCode:
     """Construct an (n, k) polar code from the bundled reliability order.
 
-    This build restricts n to powers of two (no sub-block interleaving,
-    puncturing, or repetition).  When a CRC is given, k counts the
-    non-frozen positions, i.e. payload plus CRC bits.
+    This build restricts n to powers of two up to 1024, as checked by
+    :class:`PolarCode` (no sub-block interleaving, puncturing, or
+    repetition).  When a CRC is given, k counts the non-frozen
+    positions, i.e. payload plus CRC bits.
     """
-    if n & (n - 1) or n < 2:
-        raise ValueError(f"unsupported block length n={n}: must be a power of two")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if n > _MAX_N:
-        raise ValueError(f"block length {n} exceeds {_MAX_N}")
     order = reliability_sequence()
     restricted = order[order < n]
     frozen = restricted[: n - k]
@@ -216,16 +213,15 @@ def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
 
 
 def _f_minsum(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    # The sign of a * b is exact even where the product under- or
+    # overflows; it can differ from sign(a) * sign(b) only on a zero.
+    return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
 
 
 def _f_exact(a, b):
     # Numerically-safe boxplus of ln(p0/p1) LLRs.
-    return (
-        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        + np.log1p(np.exp(-np.abs(a + b)))
-        - np.log1p(np.exp(-np.abs(a - b)))
-    )
+    return (_f_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b)))
+            - np.log1p(np.exp(-np.abs(a - b))))
 
 
 def _walk(alpha, frozen, f_func, leaf):
@@ -325,9 +321,7 @@ def polar_scl_decode(
     if use_crc:
         flat = decisions.reshape(batch * list_size, -1)
         valid = crc_check(flat, code.crc).reshape(batch, list_size)
-        gated = np.where(valid, metrics, np.inf)
-        has_valid = np.any(valid, axis=1)
-        best = np.where(has_valid, np.argmin(gated, axis=1), np.argmin(metrics, axis=1))
-    else:
-        best = np.argmin(metrics, axis=1)
-    return decisions[np.arange(batch), best]
+        # Rule out the failing paths, unless every path of the row fails.
+        valid |= ~valid.any(axis=1, keepdims=True)
+        metrics = np.where(valid, metrics, np.inf)
+    return decisions[np.arange(batch), np.argmin(metrics, axis=1)]

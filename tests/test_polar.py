@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,3 +513,124 @@ class TestScMatchesOracle:
             want = seed_sc_decode(llr, code, exact=exact)
             assert got.dtype == want.dtype == np.uint8
             assert np.array_equal(got, want), batch
+
+
+# -- oracles: the f-kernels and the CA-SCL path choice before copysign -----
+
+def seed_f_minsum(a, b):
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+
+
+def seed_f_exact(a, b):
+    return (
+        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+        + np.log1p(np.exp(-np.abs(a + b)))
+        - np.log1p(np.exp(-np.abs(a - b)))
+    )
+
+
+def seed_ca_path_choice(metrics, valid):
+    gated = np.where(valid, metrics, np.inf)
+    has_valid = np.any(valid, axis=1)
+    return np.where(has_valid, np.argmin(gated, axis=1), np.argmin(metrics, axis=1))
+
+
+def _f_corpus():
+    """(label, a, b): Gaussian values, a 0.5 grid with signed zeros,
+    magnitudes whose product under- or overflows, and [B, 1, h] inputs
+    against [B, L, h] ones."""
+    g = np.random.default_rng(60)
+    shape = (16, 8, 64)
+    gauss = 3.0 * g.standard_normal((2,) + shape)
+    grid = np.round(4.0 * g.standard_normal((2,) + shape)) / 2.0
+    grid[grid == 0.0] = g.choice([0.0, -0.0], size=np.count_nonzero(grid == 0.0))
+    extremes = g.choice([1e-300, -1e-300, 1e300, -1e300, 0.0, -0.0, 0.5, -0.5],
+                        size=(2,) + shape)
+    shared = gauss[0][:, :1]
+    return [("gauss", *gauss), ("grid", *grid), ("extremes", *extremes),
+            ("shared-left", shared, grid[1]), ("shared-right", grid[0], shared),
+            ("extremes-shared", extremes[0][:, :1], extremes[1])]
+
+
+F_CORPUS = _f_corpus()
+
+
+class TestKernelsMatchSeed:
+    """The copysign f-kernels and the one-argmin CA-SCL path choice give
+    the results of the forms they replaced."""
+
+    @pytest.mark.parametrize("label,a,b", F_CORPUS,
+                             ids=[label for label, _, _ in F_CORPUS])
+    def test_f_exact_byte_identical(self, label, a, b):
+        with np.errstate(over="ignore"):  # a * b overflows in "extremes"
+            got = _f_exact(a, b)
+        assert got.tobytes() == seed_f_exact(a, b).tobytes()
+
+    @pytest.mark.parametrize("label,a,b", F_CORPUS,
+                             ids=[label for label, _, _ in F_CORPUS])
+    def test_f_minsum_same_values_and_signs(self, label, a, b):
+        with np.errstate(over="ignore"):
+            got = _f_minsum(a, b)
+        want = seed_f_minsum(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert np.array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+
+    @pytest.mark.parametrize("list_size", [2, 3, 8, 32])
+    def test_ca_path_choice_matches_seed(self, monkeypatch, list_size):
+        # Drive the decoder's leaf to set crafted path metrics and hand it
+        # decisions that name their path, so the returned bits tell which
+        # path was chosen.
+        from linksim import polar
+        code = polar5g_construct(40, 64, crc=CRC_POLYNOMIALS["crc6"])
+        batch, n = 600, code.block_length
+        g = np.random.default_rng(61 + list_size)
+        metrics = g.integers(0, 4, (batch, list_size)).astype(np.float64)
+        metrics[g.random((batch, list_size)) < 0.1] = np.inf
+        valid = g.random((batch, list_size)) < g.random((batch, 1))
+        valid[::7] = False  # rows where every path fails the CRC
+        u = np.zeros((batch, list_size, n), dtype=np.uint8)
+        width = list_size.bit_length()
+        path_bits = (np.arange(list_size)[:, None] >> np.arange(width)) & 1
+        u[:, :, code.info_set[:width]] = path_bits
+
+        def fake_walk(alpha, frozen, f_func, leaf):
+            for _ in range(list_size):  # fill the list: every metric 0
+                leaf(np.zeros((batch, 1)), False)
+            leaf(-metrics, True)  # a frozen leaf adds max(metrics, 0)
+            return polar_transform(u), None
+
+        def fake_crc_check(frame, poly):
+            assert frame.shape == (batch * list_size, code.k)
+            return valid.reshape(-1)
+
+        monkeypatch.setattr(polar, "_walk", fake_walk)
+        monkeypatch.setattr(polar, "crc_check", fake_crc_check)
+        got = polar_scl_decode(np.zeros((batch, n)), code, list_size=list_size,
+                               use_crc=True)
+        chosen = got[:, :width].astype(np.int64) @ (1 << np.arange(width))
+        assert np.array_equal(chosen, seed_ca_path_choice(metrics, valid))
+
+    def test_ca_scl_peak_memory(self):
+        # The (1024, 512) CRC-24A code on 256 rows at 1 dB, as in the
+        # benchmark's polar-cascl sweep.  The sign-product min-sum f
+        # peaked at about 28.4 MB here, the copysign f at about 24.2 MB.
+        k, n, rows = 512, 1024, 256
+        code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
+        rng = RngStream(5, 0)
+        payload = binary_source([rows, k - code.crc.degree], rng.child(0))
+        words = polar_encode(crc_attach(payload, code.crc), code)
+        llr = bpsk_llr(words, ebnodb2no(1.0, 1, k / n), rng.child(1))
+        tracemalloc.start()
+        try:
+            polar_scl_decode(llr, code, list_size=8, use_crc=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26e6
+
+    @pytest.mark.parametrize("n", [24, 2048])
+    def test_block_length_checked_once_by_polar_code(self, n):
+        with pytest.raises(ValueError, match="power of two <= 1024"):
+            polar5g_construct(10, n)

@@ -481,6 +481,7 @@ class TestCli:
         ({**FLAT, "mimo.num_tx": 4}, "mimo.num_tx"),
         ({**TDL, "ofdm.pilots.seed": -1}, "ofdm.pilots.seed"),
         ({**TDL, "ofdm.pilots.seed": 2**64}, "ofdm.pilots.seed"),
+        ({**POLAR, "code.n": 96}, "code.n"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)

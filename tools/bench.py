@@ -2,11 +2,15 @@
 
     python3 tools/bench.py [GROUP ...] [--repeat N]
 
-GROUP is one of bp, scl, demap, viterbi, encode; with none given, every
-group runs.  Each case runs one call on a fixed input drawn from a fixed
-seed, so every run sees the same input, ``--repeat`` times (default: BP 3,
-encode 7, the others 5) and prints the median seconds and a rate.  The
-groups:
+GROUP is one of bp, scl, demap, viterbi, encode, sweeps; with none given,
+every group runs.  Each micro-benchmark case runs one call on a fixed input
+drawn from a fixed seed, so every run sees the same input, ``--repeat``
+times (default: BP 3, encode 7, the others 5) and prints the median seconds
+and a rate.  The last line of standard output is one JSON object: the rows
+of every group run, and a manifest of the machine and the checkout (nproc,
+affinity CPUs, CPU model, Python and numpy versions, ``git rev-parse
+HEAD``, null outside a checkout).  Saved as ``BENCH_<pr>.json``, it is the
+record a performance change quotes.  The groups:
 
 - bp: ``ldpc5g_decode`` on float32 16-QAM AWGN LLRs, 20 iterations, also
   printing the edge count of the graph BP runs on.  (500,1000)
@@ -34,18 +38,27 @@ groups:
   128 rows of k=500.
 - encode: ``ldpc5g_encode`` of random bits: (500,1000) at 1024 rows, the
   listing1 sweep's encoder, and (512,1024) at 256 rows, mimo-ldpc's.
+- sweeps: every workload of ``BENCHMARK.json`` through
+  ``perfbench/run.py --seed 42 --seconds 15``, untraced (``--trace 0``,
+  the end-to-end metrics) and traced (``--trace 1``, the per-layer
+  metrics); each row keeps the run's ``correct`` flag and its metrics.
+  ``--repeat`` does not apply: a run repeats its sweep for 15 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -158,10 +171,55 @@ def bench_encode(repeat):
         yield f"{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
 
 
+def bench_sweeps(repeat):
+    yield "case", "correct", "metrics"
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in bench["workloads"]:
+        for trace in (0, 1):
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "perfbench" / "run.py"),
+                 "--workload", workload["name"], "--seed", "42",
+                 "--seconds", "15", "--trace", str(trace)],
+                cwd=ROOT, capture_output=True, text=True)
+            result = (json.loads(proc.stdout.splitlines()[-1])
+                      if proc.returncode == 0 else {"correct": False})
+            yield (f"{workload['name']}-trace{trace}", result["correct"],
+                   {name: m["value"]
+                    for name, m in result.get("metrics", {}).items()})
+
+
 # name -> (cases, default repeat)
 GROUPS = {"bp": (bench_bp, 3), "scl": (bench_scl, 5),
           "demap": (bench_demap, 5), "viterbi": (bench_viterbi, 5),
-          "encode": (bench_encode, 7)}
+          "encode": (bench_encode, 7), "sweeps": (bench_sweeps, 1)}
+
+
+def manifest() -> dict:
+    model = None
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            model = next((line.split(":", 1)[1].strip() for line in cpuinfo
+                          if line.startswith("model name")), None)
+    except OSError:
+        pass
+    try:
+        git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                             capture_output=True, text=True)
+        commit = git.stdout.strip() if git.returncode == 0 else None
+    except OSError:
+        commit = None
+    return {"nproc": os.cpu_count(), "affinity_cpus": cpu_count(),
+            "cpu_model": model or platform.processor() or None,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "git_head": commit}
+
+
+def _json_value(cell):
+    """A printed number back as a number; other cells as they are."""
+    try:
+        return float(cell) if isinstance(cell, str) else cell
+    except ValueError:
+        return cell
 
 
 def main(argv=None) -> int:
@@ -179,12 +237,26 @@ def main(argv=None) -> int:
     # The BP decoder's row tiles run on every CPU of the affinity mask.
     print(f"nproc {os.cpu_count()}, affinity CPUs {cpu_count()}, "
           f"numpy {np.__version__}")
+    record = {"manifest": manifest(), "groups": {}}
     for name in args.groups or GROUPS:
         cases, default_repeat = GROUPS[name]
         repeat = args.repeat or default_repeat
         print(f"\n{name}, repeat {repeat}")
+        rows = []
         for cells in cases(repeat):
-            print(f"{cells[0]:<18}" + "".join(f"{c:>13}" for c in cells[1:]))
+            # A sweeps row ends in its metrics, printed one per line below.
+            metrics = cells[-1] if isinstance(cells[-1], dict) else None
+            shown = cells[:-1] if metrics is not None else cells
+            print(f"{shown[0]:<18}" + "".join(f"{c!s:>13}" for c in shown[1:]),
+                  flush=True)
+            for metric, value in (metrics or {}).items():
+                print(f"  {metric:<40}{value:>14.6g}")
+            rows.append(cells)
+        header, *rows = rows
+        record["groups"][name] = {
+            "repeat": repeat,
+            "rows": [dict(zip(header, map(_json_value, cells))) for cells in rows]}
+    print(json.dumps(record))
     return 0
 
 
