@@ -17,9 +17,23 @@ leaf returns the parent of each surviving path, and a node gathers its
 LLRs and left partial sums through those parents only when a child
 returns them; a level shared by all paths is never gathered.  The
 decisions are the polar transform of the root's partial sums, so there
-is no traceback.  The arithmetic on each path and the stable ranking of
-candidates are those of a decoder that copies every path, so the
-decisions are bit-identical to it.
+is no traceback.
+
+Subtrees that need no descent are answered whole (Sarkis et al., "Fast
+Polar Decoders", IEEE JSAC 2014; Hashemi, Condo and Gross, "Fast and
+Flexible Successive-Cancellation List Decoders for Polar Codes", IEEE
+T-SP 2017).  Each code holds a read-only table of node kinds: Rate-0
+(all frozen), Rate-1 (none frozen) and REP (only the last bit free).  SC
+answers Rate-0 and REP nodes, and with the min-sum f also Rate-1 nodes
+that hold no zero LLR, with the bits the descent would decide.  SCL with
+the min-sum f answers Rate-0 nodes by adding the node's penalty sum to
+the path metrics and REP nodes by one fork: in exact arithmetic these
+sums equal the leaf-by-leaf penalties, and each node forks at most once
+with the same stable (path, bit) ranking, so the decisions are those of
+a decoder that copies every path and visits every leaf, up to the float
+order of the sums.  SPC nodes (only the first bit frozen) are descended:
+flipping the least reliable hard decision differs from the min-sum
+descent where magnitudes tie.
 """
 
 from __future__ import annotations
@@ -32,6 +46,9 @@ from typing import Optional
 import numpy as np
 
 _MAX_N = 1024
+
+# Node kinds of the code tree, as stored in PolarCode.node_kinds.
+OTHER, RATE0, RATE1, REP = range(4)
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,7 @@ class PolarCode:
     crc: Optional[CrcPolynomial] = None
     info_set: np.ndarray = field(init=False)
     frozen_mask: np.ndarray = field(init=False, repr=False)
+    node_kinds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.block_length
@@ -147,6 +165,7 @@ class PolarCode:
         # import numpy.ma, tens of milliseconds of set-up.
         self.frozen_set = np.flatnonzero(self.frozen_mask)
         self.info_set = np.flatnonzero(~self.frozen_mask)
+        self.node_kinds = _node_kinds(self.frozen_mask)
 
     @property
     def k(self) -> int:
@@ -155,6 +174,29 @@ class PolarCode:
     @property
     def num_stages(self) -> int:
         return int(np.log2(self.block_length))
+
+
+def _node_kinds(frozen_mask: np.ndarray) -> np.ndarray:
+    """Read-only [n, stages + 1] table of the code tree's node kinds.
+
+    Entry [i, s] is the kind of the size-2^s node that holds bit i, so a
+    node's rows are a slice of the table and its kind is the first row's
+    entry at its level.  Leaves are RATE0 (frozen) or RATE1; a size-2 node
+    with only its last bit free is REP.
+    """
+    n = len(frozen_mask)
+    kinds = np.empty((n, n.bit_length()), dtype=np.uint8)
+    for s in range(n.bit_length()):
+        frozen = frozen_mask.reshape(-1, 1 << s)
+        num_free = (1 << s) - np.count_nonzero(frozen, axis=1)
+        kind = np.full(len(frozen), OTHER, dtype=np.uint8)
+        kind[num_free == 0] = RATE0
+        kind[num_free == 1 << s] = RATE1
+        if s >= 1:
+            kind[(num_free == 1) & ~frozen[:, -1]] = REP
+        kinds[:, s] = np.repeat(kind, 1 << s)
+    kinds.setflags(write=False)  # shared by every thread that decodes
+    return kinds
 
 
 def polar5g_construct(k: int, n: int, crc: Optional[CrcPolynomial] = None) -> PolarCode:
@@ -186,20 +228,44 @@ def rm_construct(r: int, m: int) -> PolarCode:
     return PolarCode(block_length=n, frozen_set=frozen)
 
 
+def _butterflies(x: np.ndarray) -> None:
+    """In place, every stage of the transform on the last axis of x:
+    x[..., :h] ^= x[..., h:2h] in each block of 2h, for h = 1, 2, 4, ..."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)  # a view: x is C-contiguous
+    h = 1
+    while h < n:
+        blocks = rows.reshape(-1, n // (2 * h), 2, h)
+        blocks[:, :, 0, :] ^= blocks[:, :, 1, :]
+        h *= 2
+
+
+# The transform of 8 bits packed MSB-first into a byte: its stages of
+# half-width 1, 2 and 4.
+_BYTE_TRANSFORM = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_butterflies(_BYTE_TRANSFORM)
+_BYTE_TRANSFORM = np.packbits(_BYTE_TRANSFORM, axis=1)[:, 0]
+
+
 def polar_transform(u: np.ndarray) -> np.ndarray:
-    """Apply the butterfly transform u -> u F^{(x) n} over GF(2)."""
+    """Apply the butterfly transform u -> u F^{(x) n} over GF(2).
+
+    ``u`` holds 0/1 bits on its last axis.  From n = 8 on they are packed
+    eight to a byte: one 256-entry table applies the stages of half-width
+    1, 2 and 4 inside every byte, and the wider stages XOR byte blocks.
+    """
     u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
     n = u.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    x = u.copy()
-    h = 1
-    while h < n:
-        x = x.reshape(-1, n // (2 * h), 2, h)
-        x[:, :, 0, :] ^= x[:, :, 1, :]
-        x = x.reshape(-1, n)
-        h *= 2
-    return x.reshape(u.shape)
+    if n < 8:
+        x = u.copy()
+        _butterflies(x)
+        return x
+    x = np.packbits(u, axis=-1)
+    np.take(_BYTE_TRANSFORM, x, out=x, mode="clip")  # unbuffered
+    _butterflies(x)
+    return np.unpackbits(x, axis=-1)
 
 
 def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -213,9 +279,12 @@ def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
 
 
 def _f_minsum(a, b):
-    # The sign of a * b is exact even where the product under- or
-    # overflows; it can differ from sign(a) * sign(b) only on a zero.
-    return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
+    # copysign(min(|a|, |b|), a * b), with one temporary at a time.  The
+    # sign of a * b is exact even where the product under- or overflows;
+    # it can differ from sign(a) * sign(b) only on a zero.
+    f = np.abs(a, out=np.empty(np.broadcast(a, b).shape, np.result_type(a, b)))
+    np.minimum(f, np.abs(b), out=f)
+    return np.copysign(f, a * b, out=f)
 
 
 def _f_exact(a, b):
@@ -224,33 +293,49 @@ def _f_exact(a, b):
             - np.log1p(np.exp(-np.abs(a - b))))
 
 
-def _walk(alpha, frozen, f_func, leaf):
+def _walk(alpha, kinds, f_func, leaf):
     """Successive cancellation below one node of the code tree.
 
     ``alpha`` holds the node's [batch, paths, n] ln(p0/p1) LLRs; a path
-    axis of 1 is shared by all paths.  ``leaf(a, frozen)`` decides the
-    bits of one leaf from its [batch, paths] LLRs and returns them with a
-    parent map.  Returns ``(beta, parent)``: the node's partial sums in
-    the path order at exit, and for each path at exit its row at entry in
-    the [batch * paths, n] view, or ``None`` when no path moved.
+    axis of 1 is shared by all paths.  ``kinds`` is the node's slice of
+    :attr:`PolarCode.node_kinds`.  ``leaf(a, frozen)`` decides the bits of
+    one leaf from its [batch, paths] LLRs and returns them with a parent
+    map.  ``leaf.nodes`` maps node kinds to handlers that answer a whole
+    node from its LLRs the same way, or return ``None`` to descend.
+    Returns ``(beta, parent)``: the node's partial sums in the path order
+    at exit, and for each path at exit its row at entry in the
+    [batch * paths, n] view, or ``None`` when no path moved.
     """
     n = alpha.shape[-1]
     if n == 1:
-        bits, parent = leaf(alpha[..., 0], frozen[0])
+        bits, parent = leaf(alpha[..., 0], kinds[0, 0] == RATE0)
         return bits[..., None], parent
+    node = leaf.nodes.get(kinds[0, n.bit_length() - 1])
+    if node is not None:
+        answer = node(alpha)
+        if answer is not None:
+            return answer
     h = n // 2
     beta_left, parent = _walk(f_func(alpha[..., :h], alpha[..., h:]),
-                              frozen[:h], f_func, leaf)
+                              kinds[:h], f_func, leaf)
     if parent is not None and alpha.shape[1] > 1:
         alpha = np.take(alpha.reshape(parent.size, -1), parent, axis=0)
-    a, b = alpha[..., :h], alpha[..., h:]
-    beta_right, moved = _walk(b + (1.0 - 2.0 * beta_left) * a,
-                              frozen[h:], f_func, leaf)
+    beta_right, moved = _walk(_g(alpha[..., :h], alpha[..., h:], beta_left),
+                              kinds[h:], f_func, leaf)
     if moved is not None:
         if beta_left.shape[1] > 1:
             beta_left = np.take(beta_left.reshape(moved.size, -1), moved, axis=0)
         parent = moved if parent is None else np.take(parent, moved)
     return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1), parent
+
+
+def _g(a, b, beta_left):
+    """b + (1 - 2 beta_left) a, in one node-sized array and the same bytes."""
+    g = np.multiply(beta_left, -2.0, out=np.empty(np.broadcast(beta_left, a).shape))
+    g += 1.0
+    g *= a
+    g += b
+    return g
 
 
 def _check_llr(llr: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -271,7 +356,29 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
     def leaf(a, frozen):
         return np.zeros(a.shape, np.uint8) if frozen else (a < 0).view(np.uint8), None
 
-    beta, _ = _walk(-llr[:, None, :], code.frozen_mask,
+    def rate0(alpha):
+        return np.zeros(alpha.shape, np.uint8), None
+
+    def rate1(alpha):
+        # Under min-sum every f and g below keeps the sign of the node
+        # LLRs it comes from, so the descent decides alpha < 0, unless
+        # an LLR is zero (or NaN).
+        if not np.all(np.abs(alpha) > 0):
+            return None
+        return (alpha < 0).view(np.uint8), None
+
+    def rep(alpha):
+        # The frozen left halves decide 0, so f is never read: the free
+        # leaf sees the node's LLRs summed in the walk's halving order.
+        n, x = alpha.shape[-1], alpha
+        while x.shape[-1] > 1:
+            h = x.shape[-1] // 2
+            x = x[..., h:] + x[..., :h]
+        return np.repeat((x < 0).view(np.uint8), n, axis=-1), None
+
+    leaf.nodes = {RATE0: rate0, REP: rep} if exact else {
+        RATE0: rate0, RATE1: rate1, REP: rep}
+    beta, _ = _walk(-llr[:, None, :], code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
     return polar_transform(beta)[:, 0, code.info_set]
 
@@ -298,7 +405,20 @@ def polar_scl_decode(
     batch = llr.shape[0]
     metrics = np.full((batch, list_size), np.inf)
     metrics[:, 0] = 0.0
-    first_row = np.arange(0, batch * list_size, list_size)[:, None]
+    # (path, bit) candidates of every row, and the flat index of each row.
+    cand = np.empty((batch, list_size, 2))
+    first_cand = np.arange(0, cand.size, 2 * list_size)[:, None]
+
+    def fork(pen0, pen1):
+        # The stable sort keeps the lower (path, bit) index on metric ties.
+        nonlocal metrics
+        np.add(metrics, pen0, out=cand[..., 0])
+        np.add(metrics, pen1, out=cand[..., 1])
+        order = np.argsort(cand.reshape(batch, -1), axis=1,
+                           kind="stable")[:, :list_size]
+        order += first_cand
+        metrics = np.take(cand, order)
+        return (order & 1).astype(np.uint8), order >> 1
 
     def leaf(a, frozen):
         nonlocal metrics
@@ -306,15 +426,22 @@ def polar_scl_decode(
         if frozen:
             metrics = metrics + pen0
             return np.zeros(a.shape, np.uint8), None
-        # Candidate order (path, bit): the stable sort keeps the lower
-        # path index on metric ties.
-        cand = np.stack([metrics + pen0, metrics + np.maximum(a, 0.0)], axis=-1)
-        cand = cand.reshape(batch, 2 * list_size)
-        order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
-        metrics = np.take_along_axis(cand, order, axis=1)
-        return (order & 1).astype(np.uint8), (order >> 1) + first_row
+        return fork(pen0, np.maximum(a, 0.0))
 
-    beta, _ = _walk(-llr[:, None, :], code.frozen_mask,
+    # Under min-sum a node's leaf-by-leaf penalties for deciding all 0
+    # (all 1) sum to those of its own LLRs.
+    def rate0(alpha):
+        nonlocal metrics
+        metrics = metrics + np.maximum(-alpha, 0.0).sum(axis=-1)
+        return np.zeros(alpha.shape, np.uint8), None
+
+    def rep(alpha):
+        bits, parent = fork(np.maximum(-alpha, 0.0).sum(axis=-1),
+                            np.maximum(alpha, 0.0).sum(axis=-1))
+        return np.repeat(bits[..., None], alpha.shape[-1], axis=-1), parent
+
+    leaf.nodes = {} if exact else {RATE0: rate0, REP: rep}
+    beta, _ = _walk(-llr[:, None, :], code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
     # The transform is its own inverse: it maps partial sums back to bits.
     decisions = polar_transform(beta)[..., code.info_set]

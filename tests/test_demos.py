@@ -1,5 +1,6 @@
 """The scripts in demos/ and tools/bench.py run and print their output."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,5 +36,64 @@ def test_bench_last_line_is_json():
     assert set(record) == {"manifest", "groups"}
     assert record["manifest"]["nproc"] >= 1
     rows = record["groups"]["encode"]["rows"]
-    assert [row["case"] for row in rows] == ["500x1000-1024", "512x1024-256"]
+    assert [row["case"] for row in rows] == ["500x1000-1024", "512x1024-256",
+                                             "polar-512x1024-256"]
     assert all(row["seconds"] > 0 for row in rows)
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench", ROOT / "tools" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _run(sweep_s, payload_mbps, correct=True):
+    metrics = {} if sweep_s is None else {"sweep_s": sweep_s,
+                                          "payload_mbps": payload_mbps}
+    return {"correct": correct, "metrics": metrics}
+
+
+def test_pairs_summary_of_fixed_runs():
+    bench = load_bench()
+    base = [(2.0, 1.0), (2.2, 1.0), (1.8, 1.0), (2.4, 1.0)]
+    change = [(1.5, 2.0), (2.3, 1.0), (1.6, 0.5), (1.7, 1.0)]
+    runs = {"w": [{"base": _run(*b), "change": _run(*c)}
+                  for b, c in zip(base, change)],
+            "v": [{"base": _run(1.0, 1.0), "change": _run(0.5, 2.0)},
+                  {"change": _run(None, None, correct=False),
+                   "base": _run(1.0, 1.0)},
+                  {"base": _run(3.0, 1.0, correct=False),
+                   "change": _run(2.0, 2.0)}]}
+    rows = bench.summarize(runs, {"sweep_s": "lower", "payload_mbps": "higher"})
+    by = {(r["workload"], r["metric"]): r for r in rows}
+    assert len(rows) == 4
+    w = by["w", "sweep_s"]
+    assert w["base_median"] == pytest.approx(2.1)
+    assert w["change_median"] == pytest.approx(1.65)
+    assert w["base_iqr"] == pytest.approx(0.3)
+    assert w["change_iqr"] == pytest.approx(0.275)
+    assert (w["won"], w["pairs"]) == (3, 4)
+    assert w["base_correct"] == w["change_correct"] == [True] * 4
+    # Equal values are no win; higher is better for payload_mbps.
+    assert by["w", "payload_mbps"]["won"] == 1
+    v = by["v", "sweep_s"]
+    assert (v["won"], v["pairs"]) == (2, 3)
+    assert v["change_median"] == pytest.approx(1.25)
+    assert v["base_median"] == pytest.approx(1.0)
+    assert v["change_iqr"] == pytest.approx(0.75)
+    assert v["base_correct"] == [True, True, False]
+    assert v["change_correct"] == [True, False, True]
+
+
+def test_pairs_help_runs_in_extracted_head(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    load_bench().extract("HEAD", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "bench.py"), "pairs", "--help"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "--against" in proc.stdout

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linksim import polar
 from linksim.channel import awgn
 from linksim.core import RngStream, binary_source, compute_bler, ebnodb2no
 from linksim.polar import (CRC_POLYNOMIALS, PolarCode, _crc_remainder,
@@ -634,3 +635,179 @@ class TestKernelsMatchSeed:
     def test_block_length_checked_once_by_polar_code(self, n):
         with pytest.raises(ValueError, match="power of two <= 1024"):
             polar5g_construct(10, n)
+
+
+# -- oracles: the bit-level transform and the node kinds of the code tree --
+
+def seed_polar_transform(u):
+    """The transform as one in-place XOR stage per half-width h."""
+    u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
+    n = u.shape[-1]
+    x = u.copy()
+    h = 1
+    while h < n:
+        x = x.reshape(-1, n // (2 * h), 2, h)
+        x[:, :, 0, :] ^= x[:, :, 1, :]
+        x = x.reshape(-1, n)
+        h *= 2
+    return x.reshape(u.shape)
+
+
+def brute_node_kind(frozen):
+    """A node's kind read straight off its frozen bits."""
+    if frozen.all():
+        return polar.RATE0
+    if not frozen.any():
+        return polar.RATE1
+    if len(frozen) > 1 and frozen[:-1].all():
+        return polar.REP
+    return polar.OTHER
+
+
+NODE_SIZES = [2 ** s for s in range(1, 10)]
+BLOCKS = ("rate0", "rep", "spc", "rate1")
+
+
+def node_code(size, rotation, crc=None):
+    """A code of length 4 * size (at least 16, at most 1024) tiled with
+    blocks of ``size`` that are all frozen, REP, SPC or unfrozen, in the
+    cyclic order of BLOCKS from ``rotation``: every node kind at
+    ``size`` (two per rotation at 512), reached before and after the list
+    fills."""
+    n = min(1024, max(16, 4 * size))
+    frozen = []
+    for i in range(n // size):
+        block = BLOCKS[(i + rotation) % 4]
+        if block == "rate0":
+            frozen.append(np.ones(size, dtype=bool))
+        elif block == "rep":
+            frozen.append(np.arange(size) < size - 1)
+        elif block == "spc":
+            frozen.append(np.arange(size) == 0)
+        else:
+            frozen.append(np.zeros(size, dtype=bool))
+    return PolarCode(n, np.flatnonzero(np.concatenate(frozen)), crc=crc)
+
+
+NODE_CASES = [(f"size{size}-rot{rot}", size, rot)
+              for size in NODE_SIZES for rot in (1, 3)]
+
+
+def grid_llr(code, batch, g, zeros):
+    words = polar_encode(
+        g.integers(0, 2, size=(batch, code.k), dtype=np.uint8), code)
+    llr = 2.0 * (2.0 * words - 1.0) + 2.5 * g.standard_normal(words.shape)
+    llr = np.round(2.0 * llr) / 2.0  # a 0.5 grid: metric ties occur
+    if zeros:
+        llr[g.random(llr.shape) < 0.1] = 0.0
+    return llr
+
+
+class TestTransformMatchesStageLoop:
+    """The packed-byte transform returns the stage loop's bits."""
+
+    @pytest.mark.parametrize("n", [2 ** m for m in range(1, 11)])
+    def test_every_length(self, n):
+        g = np.random.default_rng(70 + n)
+        for shape in ((37, n), (5, 3, n), (1, 1, n), (0, n)):
+            u = g.integers(0, 2, size=shape, dtype=np.uint8)
+            got = polar_transform(u)
+            assert got.dtype == np.uint8 and got.shape == u.shape
+            assert np.array_equal(got, seed_polar_transform(u)), shape
+        strided = g.integers(0, 2, size=(2 * n, 9), dtype=np.uint8).T[:, ::2]
+        assert np.array_equal(polar_transform(strided),
+                              seed_polar_transform(strided))
+        one = g.integers(0, 2, size=n, dtype=np.uint8)
+        assert np.array_equal(polar_transform(one), seed_polar_transform(one))
+
+
+class TestNodeKinds:
+    @pytest.mark.parametrize("label,code", SCL_CASES + [
+        (label, node_code(size, rot)) for label, size, rot in NODE_CASES],
+        ids=[label for label, _ in SCL_CASES] + [c[0] for c in NODE_CASES])
+    def test_table_matches_frozen_bits(self, label, code):
+        kinds = code.node_kinds
+        n = code.block_length
+        assert kinds.shape == (n, code.num_stages + 1)
+        for s in range(code.num_stages + 1):
+            for start in range(0, n, 1 << s):
+                node = slice(start, start + (1 << s))
+                want = brute_node_kind(code.frozen_mask[node])
+                assert (kinds[node, s] == want).all(), (s, start)
+
+    def test_built_once_and_read_only(self, monkeypatch):
+        code = polar5g_construct(40, 64, crc=CRC_POLYNOMIALS["crc6"])
+        table = code.node_kinds
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = polar.OTHER
+
+        def rebuild(frozen_mask):
+            raise AssertionError("node kinds rebuilt by a decode")
+
+        roots = []
+        walk = polar._walk
+
+        def spy(alpha, kinds, f_func, leaf):
+            if alpha.shape[-1] == code.block_length:
+                roots.append(kinds)
+            return walk(alpha, kinds, f_func, leaf)
+
+        monkeypatch.setattr(polar, "_node_kinds", rebuild)
+        monkeypatch.setattr(polar, "_walk", spy)
+        llr = np.random.default_rng(80).standard_normal((4, 64))
+        polar_sc_decode(llr, code)
+        polar_sc_decode(llr, code, exact=True)
+        polar_scl_decode(llr, code, list_size=4, use_crc=True)
+        assert len(roots) == 3 and all(r is table for r in roots)
+        assert code.node_kinds is table
+
+
+class TestNodesMatchOracles:
+    """Codes made of every node kind at every size: SC returns the bits
+    of the recursion, SCL those of the copying decoder."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("label,size,rotation", NODE_CASES,
+                             ids=[c[0] for c in NODE_CASES])
+    def test_sc(self, label, size, rotation, exact):
+        code = node_code(size, rotation)
+        g = np.random.default_rng(90 + size + rotation + exact)
+        for batch in (1, 37):
+            llr = grid_llr(code, batch, g, zeros=True)
+            got = polar_sc_decode(llr, code, exact=exact)
+            assert np.array_equal(got, seed_sc_decode(llr, code, exact=exact))
+
+    def test_sc_rate1_without_zero_llrs(self):
+        # The Rate-1 shortcut itself, not its fall-back to the descent.
+        code = node_code(64, 0)
+        llr = grid_llr(code, 64, np.random.default_rng(91), zeros=False)
+        llr[llr == 0.0] = 0.5
+        assert np.array_equal(polar_sc_decode(llr, code),
+                              seed_sc_decode(llr, code))
+
+    @pytest.mark.parametrize("n", [4, 16, 1024])
+    def test_sc_rep_sums_in_walk_order(self, n):
+        # Magnitudes 1e16 apart: the sum's rounding, and so its sign,
+        # depends on the order of the additions.
+        code = PolarCode(n, np.arange(n - 1))
+        g = np.random.default_rng(92 + n)
+        llr = g.choice([1e16, -1e16, 1.0, -1.0, 3.0, -3.0], size=(400, n))
+        for exact in (False, True):
+            assert np.array_equal(polar_sc_decode(llr, code, exact=exact),
+                                  seed_sc_decode(llr, code, exact=exact))
+
+    @pytest.mark.parametrize("list_size", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("label,size,rotation", NODE_CASES,
+                             ids=[c[0] for c in NODE_CASES])
+    def test_scl(self, label, size, rotation, list_size):
+        code = node_code(size, rotation, crc=CRC_POLYNOMIALS["crc6"])
+        g = np.random.default_rng(100 + size + rotation + list_size)
+        llr = grid_llr(code, 8, g, zeros=True)
+        for exact in (False, True):
+            for use_crc in (False, True):
+                got = polar_scl_decode(llr, code, list_size=list_size,
+                                       use_crc=use_crc, exact=exact)
+                want = scl_decode_oracle(llr, code, list_size=list_size,
+                                         use_crc=use_crc, exact=exact)
+                assert np.array_equal(got, want), (exact, use_crc)

@@ -1,6 +1,7 @@
 """Micro-benchmarks of the hot blocks at fixed shapes.
 
     python3 tools/bench.py [GROUP ...] [--repeat N]
+    python3 tools/bench.py pairs --against REV [--pairs N] [--workload W ...]
 
 GROUP is one of bp, scl, demap, viterbi, encode, sweeps; with none given,
 every group runs.  Each micro-benchmark case runs one call on a fixed input
@@ -37,12 +38,26 @@ record a performance change quotes.  The groups:
   ofdm-tdl sweep; the K=9 rate-1/3 (557, 663, 711) code (256 states):
   128 rows of k=500.
 - encode: ``ldpc5g_encode`` of random bits: (500,1000) at 1024 rows, the
-  listing1 sweep's encoder, and (512,1024) at 256 rows, mimo-ldpc's.
+  listing1 sweep's encoder, and (512,1024) at 256 rows, mimo-ldpc's; and
+  the polar5g (1024, 512) CRC-24A encoder (``crc_attach`` then
+  ``polar_encode``) at 256 rows, polar-cascl's.
 - sweeps: every workload of ``BENCHMARK.json`` through
   ``perfbench/run.py --seed 42 --seconds 15``, untraced (``--trace 0``,
   the end-to-end metrics) and traced (``--trace 1``, the per-layer
   metrics); each row keeps the run's ``correct`` flag and its metrics.
   ``--repeat`` does not apply: a run repeats its sweep for 15 s.
+
+``pairs`` compares this checkout, uncommitted edits included, with the
+commit REV, extracted by ``git archive REV | tar -x`` into a temporary
+directory.  For each workload (default: every one of ``BENCHMARK.json``)
+it runs ``perfbench/run.py --seed 42 --seconds 15`` N times (default 8)
+in each tree, alternating the trees and which one runs first in a pair.
+Per workload and end-to-end metric it prints both medians and
+interquartile ranges and the number of pairs the checkout won, by the
+metric's ``better`` direction, and every run's ``correct`` flag; the last
+line is one JSON object of these rows and the manifest.  ``--against
+HEAD`` in a clean checkout is an A/A run: it shows the spread and bias
+between two copies of the same code.
 """
 
 from __future__ import annotations
@@ -54,6 +69,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -169,6 +185,12 @@ def bench_encode(repeat):
         bits = binary_source([rows, k], RngStream(9, k))
         seconds = median_seconds(lambda: ldpc5g_encode(bits, code), repeat)
         yield f"{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
+    k, n, rows = 512, 1024, 256
+    code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
+    bits = binary_source([rows, k - code.crc.degree], RngStream(9, n))
+    seconds = median_seconds(
+        lambda: polar_encode(crc_attach(bits, code.crc), code), repeat)
+    yield f"polar-{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
 
 
 def bench_sweeps(repeat):
@@ -186,6 +208,111 @@ def bench_sweeps(repeat):
             yield (f"{workload['name']}-trace{trace}", result["correct"],
                    {name: m["value"]
                     for name, m in result.get("metrics", {}).items()})
+
+
+def extract(rev: str, dest: Path) -> None:
+    """``git archive REV | tar -x`` into ``dest``."""
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"error: cannot extract {rev!r}")
+
+
+def perfbench_run(tree: Path, workload: str) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its correct flag and its
+    end-to-end metric values (none when it failed)."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "42", "--seconds", "15"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"correct": False, "metrics": {}}
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"correct": result["correct"],
+            "metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()}}
+
+
+def _iqr(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs, better):
+    """Rows of the pairs report.
+
+    ``runs`` maps a workload to its list of pairs, each a dict with the
+    ``"base"`` and ``"change"`` run (see :func:`perfbench_run`);
+    ``better`` maps each metric to ``"lower"`` or ``"higher"``.  A pair
+    counts as won when both runs have the metric and the change's value
+    is strictly better.
+    """
+    rows = []
+    for workload, pairs in runs.items():
+        correct = {side: [pair[side]["correct"] for pair in pairs]
+                   for side in ("base", "change")}
+        for metric, direction in better.items():
+            sign = 1.0 if direction == "lower" else -1.0
+            both = [(pair["base"]["metrics"][metric],
+                     pair["change"]["metrics"][metric]) for pair in pairs
+                    if metric in pair["base"]["metrics"]
+                    and metric in pair["change"]["metrics"]]
+            values = {side: [pair[side]["metrics"][metric] for pair in pairs
+                             if metric in pair[side]["metrics"]]
+                      for side in ("base", "change")}
+            if not values["base"] or not values["change"]:
+                continue
+            rows.append({
+                "workload": workload, "metric": metric,
+                "base_median": statistics.median(values["base"]),
+                "base_iqr": _iqr(values["base"]),
+                "change_median": statistics.median(values["change"]),
+                "change_iqr": _iqr(values["change"]),
+                "won": sum(sign * (c - b) < 0 for b, c in both),
+                "pairs": len(pairs),
+                "base_correct": correct["base"],
+                "change_correct": correct["change"]})
+    return rows
+
+
+def run_pairs(rev: str, num_pairs: int, workloads) -> dict:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = workloads or [w["name"] for w in bench["workloads"]]
+    runs = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": Path(tmp), "change": ROOT}
+        extract(rev, trees["base"])
+        for workload in workloads:
+            runs[workload] = []
+            for i in range(num_pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {side: perfbench_run(trees[side], workload)
+                        for side in order}
+                runs[workload].append(pair)
+                print(f"{workload} pair {i + 1}: " + ", ".join(
+                    f"{side} {pair[side]['metrics'].get('sweep_s', float('nan')):.3f} s"
+                    f"{'' if pair[side]['correct'] else ' (not correct)'}"
+                    for side in order), flush=True)
+    return {"against": rev, "pairs": num_pairs, "rows": summarize(runs, better)}
+
+
+def print_pairs(report) -> None:
+    print(f"\nchange vs {report['against']}, {report['pairs']} pairs: "
+          "medians (IQR), pairs the change won")
+    for row in report["rows"]:
+        print(f"{row['workload']:<12}{row['metric']:<14}"
+              f"{row['base_median']:>10.4g} ({row['base_iqr']:.3g}) -> "
+              f"{row['change_median']:.4g} ({row['change_iqr']:.3g})"
+              f"{row['won']:>4}/{row['pairs']}")
+    failed = sorted({row["workload"] for row in report["rows"]
+                     if not all(row["base_correct"] + row["change_correct"])})
+    print("every run correct" if not failed else
+          f"runs not correct in: {', '.join(failed)}")
 
 
 # name -> (cases, default repeat)
@@ -225,10 +352,26 @@ def _json_value(cell):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("groups", nargs="*", metavar="GROUP",
-                        help=f"one of {', '.join(GROUPS)}; default: all")
+                        help=f"one of {', '.join(GROUPS)}, or pairs alone; "
+                        "default: every group")
     parser.add_argument("--repeat", type=int, default=None,
                         help="calls per case; the median is reported")
+    parser.add_argument("--against", metavar="REV",
+                        help="pairs: the commit to compare this checkout with")
+    parser.add_argument("--pairs", type=int, default=8,
+                        help="pairs: runs per tree and workload (default 8)")
+    parser.add_argument("--workload", action="append",
+                        help="pairs: a workload to run (default: all)")
     args = parser.parse_args(argv)
+    if args.groups == ["pairs"]:
+        if not args.against:
+            parser.error("pairs needs --against REV")
+        if args.pairs < 1:
+            parser.error("--pairs must be >= 1")
+        report = run_pairs(args.against, args.pairs, args.workload)
+        print_pairs(report)
+        print(json.dumps({"manifest": manifest(), "groups": {"pairs": report}}))
+        return 0
     for name in args.groups:
         if name not in GROUPS:
             parser.error(f"unknown group {name!r}")
