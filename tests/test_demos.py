@@ -87,13 +87,14 @@ def test_pairs_summary_of_fixed_runs():
     assert v["change_correct"] == [True, False, True]
 
 
-def test_pairs_help_runs_in_extracted_head(tmp_path):
+def test_pairs_extracts_a_runnable_head(tmp_path):
+    # pairs runs perfbench/run.py in the extracted tree.
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                       capture_output=True).returncode != 0:
         pytest.skip("not a git checkout")
     load_bench().extract("HEAD", tmp_path)
     proc = subprocess.run(
-        [sys.executable, str(tmp_path / "tools" / "bench.py"), "pairs", "--help"],
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--help"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "--against" in proc.stdout
+    assert "--workload" in proc.stdout

@@ -368,6 +368,11 @@ def main(argv=None) -> int:
             parser.error("pairs needs --against REV")
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
+        names = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        for workload in args.workload or ():
+            if workload not in names:
+                parser.error(f"unknown workload {workload!r}")
         report = run_pairs(args.against, args.pairs, args.workload)
         print_pairs(report)
         print(json.dumps({"manifest": manifest(), "groups": {"pairs": report}}))
