@@ -149,7 +149,6 @@ class PolarCode:
     frozen_set: np.ndarray
     crc: Optional[CrcPolynomial] = None
     info_set: np.ndarray = field(init=False)
-    frozen_mask: np.ndarray = field(init=False, repr=False)
     node_kinds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -159,13 +158,13 @@ class PolarCode:
         frozen = np.asarray(self.frozen_set, dtype=np.int64).ravel()
         if len(frozen) and (frozen.min() < 0 or frozen.max() >= n):
             raise ValueError("frozen index out of range")
-        self.frozen_mask = np.zeros(n, dtype=bool)
-        self.frozen_mask[frozen] = True
+        frozen_mask = np.zeros(n, dtype=bool)
+        frozen_mask[frozen] = True
         # Sorted and without repeats, read off the mask: np.unique would
         # import numpy.ma, tens of milliseconds of set-up.
-        self.frozen_set = np.flatnonzero(self.frozen_mask)
-        self.info_set = np.flatnonzero(~self.frozen_mask)
-        self.node_kinds = _node_kinds(self.frozen_mask)
+        self.frozen_set = np.flatnonzero(frozen_mask)
+        self.info_set = np.flatnonzero(~frozen_mask)
+        self.node_kinds = _node_kinds(frozen_mask)
 
     @property
     def k(self) -> int:
@@ -250,22 +249,20 @@ _BYTE_TRANSFORM = np.packbits(_BYTE_TRANSFORM, axis=1)[:, 0]
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Apply the butterfly transform u -> u F^{(x) n} over GF(2).
 
-    ``u`` holds 0/1 bits on its last axis.  From n = 8 on they are packed
-    eight to a byte: one 256-entry table applies the stages of half-width
-    1, 2 and 4 inside every byte, and the wider stages XOR byte blocks.
+    ``u`` holds 0/1 bits on its last axis.  They are packed eight to a
+    byte: one 256-entry table applies the stages of half-width 1, 2 and 4
+    inside every byte, and the wider stages XOR byte blocks.  Below n = 8
+    the byte's padding bits are zero, so the table's stages leave the
+    first n bits the transform of u.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
     n = u.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    if n < 8:
-        x = u.copy()
-        _butterflies(x)
-        return x
     x = np.packbits(u, axis=-1)
     np.take(_BYTE_TRANSFORM, x, out=x, mode="clip")  # unbuffered
     _butterflies(x)
-    return np.unpackbits(x, axis=-1)
+    return np.unpackbits(x, axis=-1, count=n)
 
 
 def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
