@@ -78,33 +78,22 @@ def ebnodb2no(ebno_db: float, bits_per_symbol: int, coderate: float) -> float:
     return 1.0 / (ebno * coderate * bits_per_symbol)
 
 
-def _check_same_shape(b: np.ndarray, b_hat: np.ndarray, name: str) -> None:
-    if b.shape != b_hat.shape:
-        raise ValueError(f"{name}: shape mismatch {b.shape} vs {b_hat.shape}")
-
-
 def compute_ber(b: np.ndarray, b_hat: np.ndarray) -> float:
-    """Fraction of positions where the two bit arrays differ."""
-    b = np.asarray(b)
-    b_hat = np.asarray(b_hat)
-    _check_same_shape(b, b_hat, "compute_ber")
-    return float(np.mean(b != b_hat))
+    """Fraction of positions where the two batched bit arrays differ."""
+    return count_errors(b, b_hat)[0] / np.size(b)
 
 
 def compute_bler(b: np.ndarray, b_hat: np.ndarray) -> float:
     """Fraction of batch rows (axis 0) containing at least one bit error."""
-    b = np.asarray(b)
-    b_hat = np.asarray(b_hat)
-    _check_same_shape(b, b_hat, "compute_bler")
-    errors = (b != b_hat).reshape(b.shape[0], -1)
-    return float(np.mean(np.any(errors, axis=1)))
+    return count_errors(b, b_hat)[1] / np.shape(b)[0]
 
 
 def count_errors(b: np.ndarray, b_hat: np.ndarray) -> tuple[int, int]:
     """Return (bit errors, block errors) between two batched bit arrays."""
     b = np.asarray(b)
     b_hat = np.asarray(b_hat)
-    _check_same_shape(b, b_hat, "count_errors")
+    if b.shape != b_hat.shape:
+        raise ValueError(f"shape mismatch {b.shape} vs {b_hat.shape}")
     diff = (b != b_hat).reshape(b.shape[0], -1)
     return int(diff.sum()), int(np.any(diff, axis=1).sum())
 

@@ -429,7 +429,6 @@ class LdpcCode5G:
         self.k_full = kb * z
         self.n_full = self._nb * z
         self.m_full = self._mb * z
-        self.num_fillers = self.k_full - self.k
         # Filler bits occupy the tail of the systematic part.
         self.filler_idx = np.arange(self.k, self.k_full)
         keep = np.ones(self.n_full, dtype=bool)

@@ -202,7 +202,7 @@ class SimConfig:
             raise ConfigError("<root>", "config must be a JSON object")
         fields = _Fields(raw)
         sweep = fields.section("sweep")
-        points = sweep("ebno_db", kind=list, item=float)
+        points = sweep("ebno_db", kind=list, item=float, low=-100, high=100)
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ConfigError("sweep.ebno_db", "must be strictly increasing")
         cfg = cls(

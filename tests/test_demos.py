@@ -41,6 +41,19 @@ def test_bench_last_line_is_json():
     assert all(row["seconds"] > 0 for row in rows)
 
 
+def test_bench_rows_keep_measured_values():
+    # seconds and rate are stored as measured: they multiply back to the
+    # rows of the case, the last part of its name.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench.py"), "encode", "--repeat", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.splitlines()[-1])["groups"]["encode"]["rows"]
+    for row in rows:
+        assert row["seconds"] * row["codewords/s"] == pytest.approx(
+            int(row["case"].rsplit("-", 1)[1]), rel=1e-9)
+
+
 def load_bench():
     spec = importlib.util.spec_from_file_location(
         "bench", ROOT / "tools" / "bench.py")

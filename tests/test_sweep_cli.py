@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,21 @@ class TestRunSweep:
             # Bit error counts may differ slightly at decision boundaries.
             assert pa.bit_errors == pytest.approx(pb.bit_errors, rel=0.05, abs=5)
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("updates", [{}, LDPC, POLAR, CONV, FLAT, TDL],
+                             ids=["none", "ldpc5g", "polar5g", "conv", "flat",
+                                  "tdl"])
+    def test_ebno_db_bounds_run_clean(self, updates, precision):
+        # At both ends of sweep.ebno_db no block over- or underflows.
+        cfg = set_fields(base_config(precision=precision),
+                         {**updates, "sweep.ebno_db": [-100, 100],
+                          "sweep.batch_size": 8})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = run_sweep(SimConfig.from_dict(cfg)).points
+        assert low.bler == 1.0
+        assert (high.bit_errors, high.block_errors) == (0, 0)
+
 
 class TestCsv:
     def test_column_order(self):
@@ -482,6 +498,10 @@ class TestCli:
         ({**TDL, "ofdm.pilots.seed": -1}, "ofdm.pilots.seed"),
         ({**TDL, "ofdm.pilots.seed": 2**64}, "ofdm.pilots.seed"),
         ({**POLAR, "code.n": 96}, "code.n"),
+        ({"sweep.ebno_db": [100.5]}, "sweep.ebno_db"),
+        ({"sweep.ebno_db": [-100.5, 0.0]}, "sweep.ebno_db"),
+        ({**CONV, "sweep.ebno_db": [4000]}, "sweep.ebno_db"),
+        ({**CONV, "sweep.ebno_db": [-4000]}, "sweep.ebno_db"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)

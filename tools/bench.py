@@ -8,10 +8,11 @@ every group runs.  Each micro-benchmark case runs one call on a fixed input
 drawn from a fixed seed, so every run sees the same input, ``--repeat``
 times (default: BP 3, encode 7, the others 5) and prints the median seconds
 and a rate.  The last line of standard output is one JSON object: the rows
-of every group run, and a manifest of the machine and the checkout (nproc,
-affinity CPUs, CPU model, Python and numpy versions, ``git rev-parse
-HEAD``, null outside a checkout).  Saved as ``BENCH_<pr>.json``, it is the
-record a performance change quotes.  The groups:
+of every group run, each number as measured (the printed table rounds
+it), and a manifest of the machine and the checkout (nproc, affinity
+CPUs, CPU model, Python and numpy versions, ``git rev-parse HEAD``, null
+outside a checkout).  Saved as ``BENCH_<pr>.json``, it is the record a
+performance change quotes.  The groups:
 
 - bp: ``ldpc5g_decode`` on float32 16-QAM AWGN LLRs, 20 iterations, also
   printing the edge count of the graph BP runs on.  (500,1000)
@@ -115,8 +116,7 @@ def bench_bp(repeat):
         llr = np.asarray(demap(y, no, const), dtype=np.float32)
         seconds = median_seconds(lambda: ldpc5g_decode(
             llr, code, num_iter=20, variant=variant), repeat)
-        yield (label, f"{seconds:.3f}", f"{rows / seconds:.1f}",
-               code._graph.num_edges)
+        yield label, seconds, rows / seconds, code._graph.num_edges
 
 
 def bench_scl(repeat):
@@ -136,7 +136,7 @@ def bench_scl(repeat):
                 llr, code, list_size=32, use_crc=True)),
             ("sc", lambda: polar_sc_decode(llr, code))):
         seconds = median_seconds(decode, repeat)
-        yield label, f"{seconds:.3f}", f"{rows / seconds:.1f}"
+        yield label, seconds, rows / seconds
 
 
 def bench_demap(repeat):
@@ -160,8 +160,7 @@ def bench_demap(repeat):
         y = (x + np.sqrt(no) * noise).astype(np.complex64)
         seconds = median_seconds(lambda: demap(y, no, const), repeat)
         symbols = rows * cols
-        yield (label, symbols, f"{seconds:.3f}",
-               f"{symbols / seconds / 1e6:.2f}")
+        yield label, symbols, seconds, symbols / seconds / 1e6
 
 
 def bench_viterbi(repeat):
@@ -174,8 +173,8 @@ def bench_viterbi(repeat):
         g = RngStream(3, k).generator()
         llr = 0.5 * g.integers(-4, 5, size=(rows, code.num_outputs * steps))
         seconds = median_seconds(lambda: viterbi_decode(llr, code), repeat)
-        yield (f"{name}-{rows}x{k}", f"{seconds:.3f}", f"{rows / seconds:.1f}",
-               f"{rows * steps / seconds / 1e6:.3f}")
+        yield (f"{name}-{rows}x{k}", seconds, rows / seconds,
+               rows * steps / seconds / 1e6)
 
 
 def bench_encode(repeat):
@@ -184,30 +183,21 @@ def bench_encode(repeat):
         code = LdpcCode5G(k, n)
         bits = binary_source([rows, k], RngStream(9, k))
         seconds = median_seconds(lambda: ldpc5g_encode(bits, code), repeat)
-        yield f"{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
+        yield f"{k}x{n}-{rows}", seconds, rows / seconds
     k, n, rows = 512, 1024, 256
     code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
     bits = binary_source([rows, k - code.crc.degree], RngStream(9, n))
     seconds = median_seconds(
         lambda: polar_encode(crc_attach(bits, code.crc), code), repeat)
-    yield f"polar-{k}x{n}-{rows}", f"{seconds:.4f}", f"{rows / seconds:.1f}"
+    yield f"polar-{k}x{n}-{rows}", seconds, rows / seconds
 
 
-def bench_sweeps(repeat):
+def bench_sweeps(workloads):
     yield "case", "correct", "metrics"
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for workload in bench["workloads"]:
+    for workload in workloads:
         for trace in (0, 1):
-            proc = subprocess.run(
-                [sys.executable, str(ROOT / "perfbench" / "run.py"),
-                 "--workload", workload["name"], "--seed", "42",
-                 "--seconds", "15", "--trace", str(trace)],
-                cwd=ROOT, capture_output=True, text=True)
-            result = (json.loads(proc.stdout.splitlines()[-1])
-                      if proc.returncode == 0 else {"correct": False})
-            yield (f"{workload['name']}-trace{trace}", result["correct"],
-                   {name: m["value"]
-                    for name, m in result.get("metrics", {}).items()})
+            result = perfbench_run(ROOT, workload, trace)
+            yield f"{workload}-trace{trace}", result["correct"], result["metrics"]
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -220,12 +210,12 @@ def extract(rev: str, dest: Path) -> None:
         raise SystemExit(f"error: cannot extract {rev!r}")
 
 
-def perfbench_run(tree: Path, workload: str) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its correct flag and its
-    end-to-end metric values (none when it failed)."""
+def perfbench_run(tree: Path, workload: str, trace: int = 0) -> dict:
+    """One ``perfbench/run.py --seed 42 --seconds 15`` run in ``tree``: its
+    correct flag and its metric values (none when it failed)."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", "42", "--seconds", "15"],
+         workload, "--seed", "42", "--seconds", "15", "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"correct": False, "metrics": {}}
@@ -279,10 +269,7 @@ def summarize(runs, better):
     return rows
 
 
-def run_pairs(rev: str, num_pairs: int, workloads) -> dict:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = workloads or [w["name"] for w in bench["workloads"]]
+def run_pairs(rev: str, num_pairs: int, workloads, better) -> dict:
     runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": Path(tmp), "change": ROOT}
@@ -315,12 +302,6 @@ def print_pairs(report) -> None:
           f"runs not correct in: {', '.join(failed)}")
 
 
-# name -> (cases, default repeat)
-GROUPS = {"bp": (bench_bp, 3), "scl": (bench_scl, 5),
-          "demap": (bench_demap, 5), "viterbi": (bench_viterbi, 5),
-          "encode": (bench_encode, 7), "sweeps": (bench_sweeps, 1)}
-
-
 def manifest() -> dict:
     model = None
     try:
@@ -341,18 +322,24 @@ def manifest() -> dict:
             "git_head": commit}
 
 
-def _json_value(cell):
-    """A printed number back as a number; other cells as they are."""
-    try:
-        return float(cell) if isinstance(cell, str) else cell
-    except ValueError:
-        return cell
+def _cell(value) -> str:
+    """One printed cell; a dict (a sweep's metrics) is one line per entry."""
+    if isinstance(value, dict):
+        return "".join(f"\n  {k:<40}{_cell(v)}" for k, v in value.items())
+    return f"{value:>13.6g}" if isinstance(value, float) else f"{value!s:>13}"
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    # name -> (cases of a repeat count, default repeat)
+    groups = {"bp": (bench_bp, 3), "scl": (bench_scl, 5),
+              "demap": (bench_demap, 5), "viterbi": (bench_viterbi, 5),
+              "encode": (bench_encode, 7),
+              "sweeps": (lambda repeat: bench_sweeps(workloads), 1)}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("groups", nargs="*", metavar="GROUP",
-                        help=f"one of {', '.join(GROUPS)}, or pairs alone; "
+                        help=f"one of {', '.join(groups)}, or pairs alone; "
                         "default: every group")
     parser.add_argument("--repeat", type=int, default=None,
                         help="calls per case; the median is reported")
@@ -368,17 +355,16 @@ def main(argv=None) -> int:
             parser.error("pairs needs --against REV")
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
-        names = [w["name"] for w in
-                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
         for workload in args.workload or ():
-            if workload not in names:
+            if workload not in workloads:
                 parser.error(f"unknown workload {workload!r}")
-        report = run_pairs(args.against, args.pairs, args.workload)
+        report = run_pairs(args.against, args.pairs, args.workload or workloads,
+                           {m["name"]: m["better"] for m in bench["end_to_end"]})
         print_pairs(report)
         print(json.dumps({"manifest": manifest(), "groups": {"pairs": report}}))
         return 0
     for name in args.groups:
-        if name not in GROUPS:
+        if name not in groups:
             parser.error(f"unknown group {name!r}")
     if args.repeat is not None and args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -386,24 +372,17 @@ def main(argv=None) -> int:
     print(f"nproc {os.cpu_count()}, affinity CPUs {cpu_count()}, "
           f"numpy {np.__version__}")
     record = {"manifest": manifest(), "groups": {}}
-    for name in args.groups or GROUPS:
-        cases, default_repeat = GROUPS[name]
+    for name in args.groups or groups:
+        cases, default_repeat = groups[name]
         repeat = args.repeat or default_repeat
         print(f"\n{name}, repeat {repeat}")
         rows = []
         for cells in cases(repeat):
-            # A sweeps row ends in its metrics, printed one per line below.
-            metrics = cells[-1] if isinstance(cells[-1], dict) else None
-            shown = cells[:-1] if metrics is not None else cells
-            print(f"{shown[0]:<18}" + "".join(f"{c!s:>13}" for c in shown[1:]),
-                  flush=True)
-            for metric, value in (metrics or {}).items():
-                print(f"  {metric:<40}{value:>14.6g}")
+            print(f"{cells[0]:<18}" + "".join(map(_cell, cells[1:])), flush=True)
             rows.append(cells)
         header, *rows = rows
         record["groups"][name] = {
-            "repeat": repeat,
-            "rows": [dict(zip(header, map(_json_value, cells))) for cells in rows]}
+            "repeat": repeat, "rows": [dict(zip(header, cells)) for cells in rows]}
     print(json.dumps(record))
     return 0
 
