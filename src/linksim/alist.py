@@ -136,31 +136,21 @@ def parse_alist(text: str) -> ParityCheckMatrix:
     if len(rows) < 4 + n + m:
         raise AlistParseError(len(lines), f"truncated file: expected {4 + n + m} lines")
 
-    col_adj = []
-    for v in range(n):
-        line_no, tok = rows[4 + v]
-        entries = [x for x in _ints(tok, line_no) if x != 0]
-        if len(entries) != col_deg[v]:
-            raise AlistParseError(
-                line_no,
-                f"variable {v}: header says degree {col_deg[v]}, found {len(entries)}",
-            )
-        if any(not 1 <= x <= m for x in entries):
-            raise AlistParseError(line_no, f"check index out of range 1..{m}")
-        col_adj.append(np.asarray(sorted(x - 1 for x in entries), dtype=np.int64))
-
-    row_adj = []
-    for c in range(m):
-        line_no, tok = rows[4 + n + c]
-        entries = [x for x in _ints(tok, line_no) if x != 0]
-        if len(entries) != row_deg[c]:
-            raise AlistParseError(
-                line_no,
-                f"check {c}: header says degree {row_deg[c]}, found {len(entries)}",
-            )
-        if any(not 1 <= x <= n for x in entries):
-            raise AlistParseError(line_no, f"variable index out of range 1..{n}")
-        row_adj.append(np.asarray(sorted(x - 1 for x in entries), dtype=np.int64))
+    # Variables list check neighbors, then checks list variable neighbors.
+    col_adj, row_adj = [], []
+    for adj, section, degrees, node, other, bound in (
+            (col_adj, rows[4:4 + n], col_deg, "variable", "check", m),
+            (row_adj, rows[4 + n:4 + n + m], row_deg, "check", "variable", n)):
+        for i, ((line_no, tok), degree) in enumerate(zip(section, degrees)):
+            entries = [x for x in _ints(tok, line_no) if x != 0]
+            if len(entries) != degree:
+                raise AlistParseError(
+                    line_no,
+                    f"{node} {i}: header says degree {degree}, found {len(entries)}",
+                )
+            if any(not 1 <= x <= bound for x in entries):
+                raise AlistParseError(line_no, f"{other} index out of range 1..{bound}")
+            adj.append(np.asarray(sorted(x - 1 for x in entries), dtype=np.int64))
 
     try:
         return ParityCheckMatrix(n=n, m=m, col_adj=col_adj, row_adj=row_adj)

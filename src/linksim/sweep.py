@@ -7,7 +7,9 @@ field's default, type and range or choice set and raises
 :class:`ConfigError` naming the field; a key that nothing reads is
 rejected.  :meth:`SimConfig.from_dict` reads the sweep-level fields and
 builds a :class:`Pipeline`, which reads the rest; ``CODECS`` maps each
-``code.family`` to the builder of its encoder and decoder.  Random streams
+``code.family`` to the builder of its encoder and decoder, and ``CHANNELS``
+maps each ``channel.kind`` to the stage section it needs and the builder of
+its per-batch channel step.  Random streams
 are keyed by (seed, snr_index, batch_index) — never by thread — so a
 sweep is bit-identical for any worker count and any CPU count.
 """
@@ -71,14 +73,15 @@ class _Fields:
     a bool is no number) or a collection of allowed values.  With ``item``
     the value is a non-empty list of ``item``-typed entries.  ``low`` and
     ``high`` bound the number, or each entry.
-    Sections opened with :meth:`section` share one record, from which
+    Sections opened with :meth:`section` share one record, keyed by path
+    (a section opened again replaces its entry), from which
     :meth:`reject_unknown` names every key that no read asked for.
     """
 
     def __init__(self, d: dict, path: str = "", opened=None):
         self.d, self.path, self.used = d, path, set()
-        self.opened = [] if opened is None else opened
-        self.opened.append(self)
+        self.opened = {} if opened is None else opened
+        self.opened[path] = self
 
     def __call__(self, key, default=_REQUIRED, kind=int, low=None, high=None,
                  item=None):
@@ -111,7 +114,7 @@ class _Fields:
         return None if d is None else _Fields(d, f"{self.path}{key}.", self.opened)
 
     def reject_unknown(self):
-        for sec in self.opened:
+        for sec in self.opened.values():
             for key in [key for key in sec.d if key not in sec.used]:
                 hint = difflib.get_close_matches(key, sec.used, n=1)
                 raise ConfigError(sec.path + key, "unknown field" + (
@@ -181,6 +184,110 @@ def _conv(code):
 
 
 CODECS = {"none": _uncoded, "ldpc5g": _ldpc5g, "polar5g": _polar5g, "conv": _conv}
+
+
+# -- channels: (channel section, stage section, coded symbols per block) ->
+# step(x, no, rng) -> (x_hat, no_eff), the symbol estimates and their noise
+# variance; channel, mimo and ofdm functions are looked up at call time.
+
+def _awgn(chan, stage, num_symbols):
+    return lambda x, no, rng: (ch.awgn(x, no, rng.child(2)), no)
+
+
+def _flat(chan, mimo, num_symbols):
+    num_rx = mimo("num_rx", 2, low=1)
+    # One stream per transmit antenna, at most one per receive antenna.
+    streams = mimo("num_tx", 2, low=1, high=num_rx)
+    precoder = mimo("precoder", None, (None, "zf"))
+    mimo("equalizer", "lmmse", ("lmmse",))
+    if num_symbols % streams:
+        raise ConfigError("mimo.num_tx", f"{num_symbols} symbols not divisible "
+                          f"into {streams} streams")
+    correlation = None
+    corr = chan.section("correlation", None)
+    if corr is not None:
+        r_tx, r_rx = corr("r_tx", kind=list), corr("r_rx", kind=list)
+        correlation = _build("channel.correlation", lambda: ch.CorrelationPair(
+            np.asarray(r_tx, dtype=float), np.asarray(r_rx, dtype=float)))
+        if (len(r_tx), len(r_rx)) != (streams, num_rx):
+            raise ConfigError("channel.correlation", f"needs r_tx {streams}x{streams}"
+                              f" and r_rx {num_rx}x{num_rx}")
+
+    def step(x, no, rng):
+        uses = x.reshape(-1, streams)  # batch and channel uses flattened
+        y, h = ch.flat_fading(uses, correlation, num_rx, rng.child(1))
+        if precoder == "zf":
+            xp, g_eff = mimo_mod.zf_precode(uses, h[:, :streams, :])
+            y = np.einsum("brt,bt->br", h[:, :streams, :], xp)
+            y = ch.awgn(y, no, rng.child(2))
+            x_hat = y / g_eff
+            no_eff = no / g_eff**2
+        else:
+            y = ch.awgn(y, no, rng.child(2))
+            x_hat, no_eff = mimo_mod.lmmse_equalize(y, h, no)
+        return x_hat.reshape(x.shape[0], -1), no_eff.reshape(x.shape[0], -1)
+    return step
+
+
+def _tdl(chan, o, num_symbols):
+    ofdm_symbols = o("num_symbols", 14, low=1)
+    grid = _build(
+        "ofdm", ofdm_mod.ResourceGrid,
+        fft_size=o("fft_size", low=1),
+        num_symbols=ofdm_symbols,
+        cp_length=o("cp_length", 0, low=0),
+        subcarrier_spacing=o("subcarrier_spacing", 15e3, float),
+        guard_left=o("guard_left", 0, low=0),
+        guard_right=o("guard_right", 0, low=0),
+        dc_null=o("dc_null", False, bool),
+    )
+    pilots = o.section("pilots")
+    grid = replace(
+        grid, pilot_pattern=ofdm_mod.PilotPattern.regular(
+            num_symbols=ofdm_symbols,
+            num_subcarriers=grid.num_effective_subcarriers,
+            pilot_symbols=pilots("symbol_indices", [0], list, low=0,
+                                 high=ofdm_symbols - 1, item=int),
+            subcarrier_step=pilots("subcarrier_step", 1, low=1),
+            seed=pilots("seed", 0, low=0, high=2**64 - 1),
+        ))
+    if grid.num_data_cells != num_symbols:
+        raise ConfigError("ofdm.fft_size", f"grid has {grid.num_data_cells} data cells "
+                          f"but the coded block maps to {num_symbols} symbols")
+    tdl = _build(
+        "channel.powers", ch.TdlProfile,
+        powers=np.asarray(chan("powers", [1.0], list, item=float), dtype=float),
+        delays=np.asarray(chan("delays_s", [0.0], list, low=0, item=float),
+                          dtype=float),
+        doppler_hz=chan("doppler_hz", 0.0, float, low=0),
+    )
+    d = tdl.delays * grid.bandwidth
+    if np.any(np.abs(d - np.round(d)) > 1e-6):
+        raise ConfigError("channel.delays_s", "delays must lie on the sample grid")
+    if int(np.round(d.max())) > grid.cp_length:
+        raise ConfigError("ofdm.cp_length", "cyclic prefix shorter than the delay spread")
+
+    def step(x, no, rng):
+        grid_tx = ofdm_mod.rg_map(x, grid)
+        samples = ofdm_mod.ofdm_modulate(grid_tx, grid.cp_length)
+        cir = ch.generate_tdl_cir(
+            tdl, x.shape[0], grid.num_symbols,
+            time_step=grid.samples_per_symbol / grid.bandwidth,
+            sampling_rate=grid.bandwidth, rng=rng.child(1),
+        )
+        y = ch.apply_time_domain(samples, cir)
+        y = ch.awgn(y, no, rng.child(2))
+        grid_rx = ofdm_mod.ofdm_demodulate(y, grid.fft_size, grid.cp_length,
+                                           grid.num_symbols)
+        h_pilots, _ = ofdm_mod.ls_estimate(grid_rx, grid, no)
+        h_full = ofdm_mod.nn_interpolate(h_pilots, grid)
+        data, _ = ofdm_mod.rg_demap(grid_rx, grid)
+        h_data = h_full[:, ~grid.pilot_pattern.mask]
+        return data / h_data, no / np.abs(h_data) ** 2
+    return step
+
+
+CHANNELS = {"awgn": (None, _awgn), "flat": ("mimo", _flat), "tdl": ("ofdm", _tdl)}
 
 
 @dataclass
@@ -266,27 +373,20 @@ class Pipeline:
         self.demap = demappers[mod("demapper", "app", demappers)]
 
         code = f.section("code", {"family": "none", "k": 100})
-        self.payload_bits, self.coded_bits, self.encode, self.decode = \
+        self.payload_bits, coded_bits, self.encode, self.decode = \
             CODECS[code("family", kind=CODECS)](code)
-        self.coderate = self.payload_bits / self.coded_bits
-        if self.coded_bits % self.m:
+        self.coderate = self.payload_bits / coded_bits
+        if coded_bits % self.m:
             raise ConfigError(
                 "modulation.bits_per_symbol",
-                f"coded block of {self.coded_bits} bits is not divisible by "
+                f"coded block of {coded_bits} bits is not divisible by "
                 f"{self.m} bits/symbol",
             )
-        self.num_symbols = self.coded_bits // self.m
 
-        # Channel kind -> the stage section it needs and the method that
-        # reads it and returns the per-batch channel step, which maps the
-        # symbols to their estimates and noise variance for the demapper.
-        channels = {"awgn": (None, lambda chan, stage: self._run_awgn),
-                    "flat": ("mimo", self._init_mimo),
-                    "tdl": ("ofdm", self._init_ofdm_tdl)}
         chan = f.section("channel", {})
-        kind = chan("kind", "awgn", channels)
-        needed, init = channels[kind]
-        stages = {name: f.section(name, {}) for name in ("mimo", "ofdm")}
+        kind = chan("kind", "awgn", CHANNELS)
+        needed, build_step = CHANNELS[kind]
+        stages = {name: f.section(name, {}) for name, _ in CHANNELS.values() if name}
         for name, stage in stages.items():
             enabled = stage("enabled", False, bool)
             if enabled != (name == needed):
@@ -296,79 +396,7 @@ class Pipeline:
                     f"{'does not use' if enabled else 'requires'} {name}.enabled")
             if not enabled:  # a disabled section may keep its other keys
                 stage.used.update(stage.d)
-        self.channel = init(chan, stages.get(needed))
-
-    def _init_mimo(self, chan, mimo):
-        self.num_rx = mimo("num_rx", 2, low=1)
-        # One stream per transmit antenna, at most one per receive antenna.
-        self.num_streams = mimo("num_tx", 2, low=1, high=self.num_rx)
-        self.precoder = mimo("precoder", None, (None, "zf"))
-        mimo("equalizer", "lmmse", ("lmmse",))
-        if self.num_symbols % self.num_streams:
-            raise ConfigError(
-                "mimo.num_tx",
-                f"{self.num_symbols} symbols not divisible into "
-                f"{self.num_streams} streams",
-            )
-        self.correlation = None
-        corr = chan.section("correlation", None)
-        if corr is not None:
-            r_tx, r_rx = corr("r_tx", kind=list), corr("r_rx", kind=list)
-            self.correlation = _build("channel.correlation", lambda: ch.CorrelationPair(
-                np.asarray(r_tx, dtype=float), np.asarray(r_rx, dtype=float)))
-            if (len(r_tx), len(r_rx)) != (self.num_streams, self.num_rx):
-                raise ConfigError("channel.correlation",
-                                  f"needs r_tx {self.num_streams}x{self.num_streams}"
-                                  f" and r_rx {self.num_rx}x{self.num_rx}")
-        return self._run_flat
-
-    def _init_ofdm_tdl(self, chan, o):
-        num_symbols = o("num_symbols", 14, low=1)
-        grid = _build(
-            "ofdm", ofdm_mod.ResourceGrid,
-            fft_size=o("fft_size", low=1),
-            num_symbols=num_symbols,
-            cp_length=o("cp_length", 0, low=0),
-            subcarrier_spacing=o("subcarrier_spacing", 15e3, float),
-            guard_left=o("guard_left", 0, low=0),
-            guard_right=o("guard_right", 0, low=0),
-            dc_null=o("dc_null", False, bool),
-        )
-        pilots = o.section("pilots")
-        self.grid = replace(
-            grid, pilot_pattern=ofdm_mod.PilotPattern.regular(
-                num_symbols=num_symbols,
-                num_subcarriers=grid.num_effective_subcarriers,
-                pilot_symbols=pilots("symbol_indices", [0], list, low=0,
-                                     high=num_symbols - 1, item=int),
-                subcarrier_step=pilots("subcarrier_step", 1, low=1),
-                seed=pilots("seed", 0, low=0, high=2**64 - 1),
-            ))
-        if self.grid.num_data_cells != self.num_symbols:
-            raise ConfigError(
-                "ofdm.fft_size",
-                f"grid has {self.grid.num_data_cells} data cells but the coded "
-                f"block maps to {self.num_symbols} symbols",
-            )
-        self.tdl = _build(
-            "channel.powers", ch.TdlProfile,
-            powers=np.asarray(chan("powers", [1.0], list, item=float), dtype=float),
-            delays=np.asarray(chan("delays_s", [0.0], list, low=0, item=float),
-                              dtype=float),
-            doppler_hz=chan("doppler_hz", 0.0, float, low=0),
-        )
-        fs = self.grid.bandwidth
-        d = self.tdl.delays * fs
-        if np.any(np.abs(d - np.round(d)) > 1e-6):
-            raise ConfigError("channel.delays_s",
-                              "delays must lie on the sample grid")
-        max_delay = int(np.round(d.max()))
-        if max_delay > self.grid.cp_length:
-            raise ConfigError("ofdm.cp_length",
-                              "cyclic prefix shorter than the delay spread")
-        return self._run_tdl
-
-    # -- per-batch simulation ------------------------------------------------
+        self.channel = build_step(chan, stages.get(needed), coded_bits // self.m)
 
     def run_batch(self, ebno_db: float, batch_size: int, rng: RngStream):
         """Simulate one batch; returns (payload, decoded) bit arrays."""
@@ -382,43 +410,6 @@ class Pipeline:
         llr = self.demap(x_hat, no_eff, self.constellation, dtype=self.ldtype)
         del x_hat, no_eff
         return payload, self.decode(llr)
-
-    def _run_awgn(self, x: np.ndarray, no: float, rng: RngStream):
-        return ch.awgn(x, no, rng.child(2)), no
-
-    def _run_flat(self, x: np.ndarray, no: float, rng: RngStream):
-        s = self.num_streams
-        uses = x.reshape(-1, s)  # batch and channel uses flattened
-        y, h = ch.flat_fading(uses, self.correlation, self.num_rx, rng.child(1))
-        if self.precoder == "zf":
-            xp, g_eff = mimo_mod.zf_precode(uses, h[:, :s, :])
-            y = np.einsum("brt,bt->br", h[:, :s, :], xp)
-            y = ch.awgn(y, no, rng.child(2))
-            x_hat = y / g_eff
-            no_eff = no / g_eff**2
-        else:
-            y = ch.awgn(y, no, rng.child(2))
-            x_hat, no_eff = mimo_mod.lmmse_equalize(y, h, no)
-        return x_hat.reshape(x.shape[0], -1), no_eff.reshape(x.shape[0], -1)
-
-    def _run_tdl(self, x: np.ndarray, no: float, rng: RngStream):
-        grid = self.grid
-        grid_tx = ofdm_mod.rg_map(x, grid)
-        samples = ofdm_mod.ofdm_modulate(grid_tx, grid.cp_length)
-        cir = ch.generate_tdl_cir(
-            self.tdl, x.shape[0], grid.num_symbols,
-            time_step=grid.samples_per_symbol / grid.bandwidth,
-            sampling_rate=grid.bandwidth, rng=rng.child(1),
-        )
-        y = ch.apply_time_domain(samples, cir)
-        y = ch.awgn(y, no, rng.child(2))
-        grid_rx = ofdm_mod.ofdm_demodulate(y, grid.fft_size, grid.cp_length,
-                                           grid.num_symbols)
-        h_pilots, _ = ofdm_mod.ls_estimate(grid_rx, grid, no)
-        h_full = ofdm_mod.nn_interpolate(h_pilots, grid)
-        data, _ = ofdm_mod.rg_demap(grid_rx, grid)
-        h_data = h_full[:, ~grid.pilot_pattern.mask]
-        return data / h_data, no / np.abs(h_data) ** 2
 
 
 def build_pipeline(cfg: SimConfig) -> Pipeline:

@@ -111,3 +111,35 @@ def test_pairs_extracts_a_runnable_head(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "--workload" in proc.stdout
+
+
+@pytest.mark.parametrize("argv,change,status", [
+    (["sweeps"], {"correct": True, "metrics": {"sweep_s": 1.0}}, 0),
+    (["sweeps"], {"correct": False, "metrics": {"sweep_s": 1.0}}, 1),
+    (["pairs", "--against", "HEAD", "--pairs", "2"],
+     {"correct": True, "metrics": {"sweep_s": 1.0}}, 0),
+    (["pairs", "--against", "HEAD", "--pairs", "2"],
+     {"correct": False, "metrics": {"sweep_s": 1.0}}, 1),
+    (["pairs", "--against", "HEAD", "--pairs", "2"],
+     {"correct": False, "metrics": {}}, 1),
+], ids=["sweeps-correct", "sweeps-not-correct", "pairs-correct",
+        "pairs-not-correct", "pairs-failed"])
+def test_bench_exit_status_follows_correct_runs(monkeypatch, capsys, argv,
+                                                change, status):
+    # A stub perfbench_run returns `change` for the traced sweep of mimo-ldpc
+    # and for every run in this checkout; every other run is correct.
+    bench = load_bench()
+
+    def perfbench_run(tree, workload, trace=0):
+        if (tree == bench.ROOT and argv[0] == "pairs"
+                or (workload, trace) == ("mimo-ldpc", 1)):
+            return change
+        return {"correct": True, "metrics": {"sweep_s": 1.0}}
+
+    monkeypatch.setattr(bench, "perfbench_run", perfbench_run)
+    monkeypatch.setattr(bench, "extract", lambda rev, dest: None)
+    assert bench.main(argv) == status
+    out = capsys.readouterr().out.splitlines()
+    record = json.loads(out[-1])
+    assert set(record) == {"manifest", "groups"}
+    assert ("runs not correct in: " in out[-2]) == bool(status)

@@ -21,7 +21,8 @@ except ImportError:  # pragma: no cover
 import linksim
 from linksim.cli import main
 from linksim.sweep import (CSV_COLUMNS, ConfigError, Pipeline, SimConfig,
-                           format_csv, read_csv, run_sweep, write_csv)
+                           build_pipeline, format_csv, read_csv, run_sweep,
+                           write_csv)
 
 
 def base_config(**overrides):
@@ -139,6 +140,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError) as exc:
             SimConfig.from_dict(cfg)
         assert "data cells" in str(exc.value)
+
+    def test_rebuilds_keep_one_record_per_section(self):
+        # Each build re-opens the same sections: a SimConfig reused across
+        # sweeps must not grow its record of them.
+        cfg = SimConfig.from_dict(set_fields(base_config(**TDL), {
+            "code": {"family": "polar5g", "k": 64, "n": 128,
+                     "decoder": {"type": "sc"}}}))
+        opened = len(cfg.fields.opened)
+        for _ in range(100):
+            build_pipeline(cfg)
+        assert len(cfg.fields.opened) == opened
 
 
 class TestRunSweep:
@@ -335,6 +347,59 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             read_csv(path)
 
+
+
+# Channel steps that no benchmark workload runs: ZF precoding, correlated
+# flat fading, and TDL over a grid with guards, a DC null and pilots on
+# every other subcarrier.  Every batch of both points runs.  The bases are
+# copied: base_config shares the nested dicts of its arguments.
+CHANNEL_CASES = {
+    "flat-zf": set_fields(copy.deepcopy(base_config(**FLAT)), {
+        "code.k": 96, "modulation.bits_per_symbol": 4, "mimo.num_rx": 3,
+        "mimo.precoder": "zf", "precision": "double"}),
+    "flat-correlated": set_fields(copy.deepcopy(base_config(**FLAT)), {
+        "mimo.num_rx": 3,
+        "channel.correlation": {"r_tx": [[1, 0.5], [0.5, 1]],
+                                "r_rx": [[1, 0.3, 0.1], [0.3, 1, 0.3],
+                                         [0.1, 0.3, 1]]}}),
+    "tdl-guards": set_fields(copy.deepcopy(base_config(**TDL)), {
+        "code.k": 280, "ofdm.num_symbols": 3, "ofdm.guard_left": 4,
+        "ofdm.guard_right": 3, "ofdm.dc_null": True,
+        "ofdm.pilots": {"symbol_indices": [0], "subcarrier_step": 2, "seed": 7},
+        "channel.powers": [0.6, 0.4], "channel.delays_s": [0.0, 2 / 960e3],
+        "channel.doppler_hz": 50.0}),
+}
+for _cfg in CHANNEL_CASES.values():
+    set_fields(_cfg, {"sweep.ebno_db": [0.0, 8.0], "sweep.batch_size": 16,
+                      "sweep.target_block_errors": 10**6})
+
+# CSVs without elapsed_s, frozen from the sweep engine before its channel
+# steps moved into the CHANNELS table.
+CHANNEL_CSVS = {
+    "flat-zf": (
+        "ebno_db,bits,bit_errors,ber,blocks,block_errors,bler,batches,stop_reason\n"
+        "0.0,4608,875,0.1898871527777778,48,48,1.0,3,max-batches\n"
+        "8.0,4608,302,0.06553819444444445,48,48,1.0,3,max-batches\n"
+    ),
+    "flat-correlated": (
+        "ebno_db,bits,bit_errors,ber,blocks,block_errors,bler,batches,stop_reason\n"
+        "0.0,4800,334,0.06958333333333333,48,47,0.9791666666666666,3,max-batches\n"
+        "8.0,4800,30,0.00625,48,21,0.4375,3,max-batches\n"
+    ),
+    "tdl-guards": (
+        "ebno_db,bits,bit_errors,ber,blocks,block_errors,bler,batches,stop_reason\n"
+        "0.0,13440,3057,0.22745535714285714,48,48,1.0,3,max-batches\n"
+        "8.0,13440,852,0.06339285714285714,48,41,0.8541666666666666,3,max-batches\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", CHANNEL_CASES)
+def test_channel_steps_match_frozen_csv(name, workers):
+    cfg = SimConfig.from_dict(copy.deepcopy(CHANNEL_CASES[name]))
+    result = run_sweep(cfg, num_workers=workers)
+    assert csv_without_elapsed(result) == CHANNEL_CSVS[name]
 
 class TestCli:
     def _write_config(self, tmp_path, cfg):

@@ -59,6 +59,10 @@ metric's ``better`` direction, and every run's ``correct`` flag; the last
 line is one JSON object of these rows and the manifest.  ``--against
 HEAD`` in a clean checkout is an A/A run: it shows the spread and bias
 between two copies of the same code.
+
+When a ``perfbench/run.py`` run of the sweeps group or of ``pairs`` was
+not correct, the script names its workloads, prints its JSON line and
+exits with status 1.
 """
 
 from __future__ import annotations
@@ -288,7 +292,16 @@ def run_pairs(rev: str, num_pairs: int, workloads, better) -> dict:
     return {"against": rev, "pairs": num_pairs, "rows": summarize(runs, better)}
 
 
-def print_pairs(report) -> None:
+def not_correct(report, workloads) -> list:
+    """Workloads of a pairs report with a run that was not correct; one
+    whose runs on a side all failed has no row."""
+    flags = {workload: [] for workload in workloads}
+    for row in report["rows"]:
+        flags[row["workload"]] += row["base_correct"] + row["change_correct"]
+    return [workload for workload, ok in flags.items() if not ok or not all(ok)]
+
+
+def print_pairs(report, failed) -> None:
     print(f"\nchange vs {report['against']}, {report['pairs']} pairs: "
           "medians (IQR), pairs the change won")
     for row in report["rows"]:
@@ -296,8 +309,6 @@ def print_pairs(report) -> None:
               f"{row['base_median']:>10.4g} ({row['base_iqr']:.3g}) -> "
               f"{row['change_median']:.4g} ({row['change_iqr']:.3g})"
               f"{row['won']:>4}/{row['pairs']}")
-    failed = sorted({row["workload"] for row in report["rows"]
-                     if not all(row["base_correct"] + row["change_correct"])})
     print("every run correct" if not failed else
           f"runs not correct in: {', '.join(failed)}")
 
@@ -358,11 +369,13 @@ def main(argv=None) -> int:
         for workload in args.workload or ():
             if workload not in workloads:
                 parser.error(f"unknown workload {workload!r}")
-        report = run_pairs(args.against, args.pairs, args.workload or workloads,
+        workloads = args.workload or workloads
+        report = run_pairs(args.against, args.pairs, workloads,
                            {m["name"]: m["better"] for m in bench["end_to_end"]})
-        print_pairs(report)
+        failed = not_correct(report, workloads)
+        print_pairs(report, failed)
         print(json.dumps({"manifest": manifest(), "groups": {"pairs": report}}))
-        return 0
+        return 1 if failed else 0
     for name in args.groups:
         if name not in groups:
             parser.error(f"unknown group {name!r}")
@@ -383,8 +396,12 @@ def main(argv=None) -> int:
         header, *rows = rows
         record["groups"][name] = {
             "repeat": repeat, "rows": [dict(zip(header, cells)) for cells in rows]}
+    failed = [row["case"] for row in record["groups"].get("sweeps", {}).get("rows", ())
+              if not row["correct"]]
+    if failed:
+        print(f"runs not correct in: {', '.join(failed)}")
     print(json.dumps(record))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
