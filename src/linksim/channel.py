@@ -207,11 +207,10 @@ def apply_time_domain(x: np.ndarray, cir: Cir) -> np.ndarray:
     per_step = num_samples // steps
     y = np.zeros((batch, num_samples), dtype=np.result_type(x.dtype, np.complex64))
     for l, delay in enumerate(d_int):
+        if delay >= num_samples:
+            continue
         gain = np.repeat(cir.gains[:, l, :], per_step, axis=1)
-        shifted = np.zeros_like(y)
-        if delay < num_samples:
-            shifted[:, delay:] = x[:, : num_samples - delay]
-        y += gain * shifted
+        y[:, delay:] += gain[:, delay:] * x[:, : num_samples - delay]
     return y
 
 

@@ -40,12 +40,12 @@ Two things keep decoding cheap:
   corpus and the benchmark's reference sweeps are unchanged.
 
 The 5G-style code is described once, by the base graph's ``(row, col,
-shift)`` entries.  The encoder lifts them into circulant Z-blocks and forms
-no matrix (Richardson & Urbanke, "Efficient encoding of LDPC codes",
-2001): per base row it XORs the shifted Z-blocks, first into the core
-syndromes, which the accumulate core turns into the first four parity
-blocks, then into each extension row's own parity block.  All of it is
-exact GF(2) arithmetic.
+shift)`` entries in ``data/ldpc_bg{1,2}.txt``, which also give the graph's
+sizes.  The encoder lifts them into circulant Z-blocks and forms no matrix
+(Richardson & Urbanke, "Efficient encoding of LDPC codes", 2001): per base
+row it XORs the shifted Z-blocks, first into the core syndromes, which the
+accumulate core turns into the first four parity blocks, then into each
+extension row's own parity block.  All of it is exact GF(2) arithmetic.
 """
 
 from __future__ import annotations
@@ -358,28 +358,25 @@ def exit_mutual_information(llr: np.ndarray, bits: np.ndarray) -> float:
     return float(np.clip(info, 0.0, 1.0))
 
 
-def _load_base_graph(name: str) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _base_graph(bg: int):
+    """Base graph ``bg`` (1 or 2) as (entries, m_b, n_b, k_b).
+
+    ``entries`` is a read-only int64 [E, 3] array of (row, col, shift),
+    sorted by row, then column.  The sizes are read off the entries: the
+    last row and the last column each hold an entry, and the parity part
+    is square, so k_b = n_b - m_b.
+    """
     text = (
-        importlib.resources.files("linksim.data").joinpath(name).read_text()
+        importlib.resources.files("linksim.data")
+        .joinpath(f"ldpc_bg{bg}.txt")
+        .read_text()
     )
     base = np.loadtxt(text.splitlines(), dtype=np.int64, ndmin=2)
     base = base[np.lexsort((base[:, 1], base[:, 0]))]
     base.flags.writeable = False
-    return base
-
-
-@functools.lru_cache(maxsize=None)
-def _base_graph(bg: int):
-    """Base graph ``bg`` as (entries, m_b, n_b, k_b).
-
-    ``entries`` is a read-only int64 [E, 3] array of (row, col, shift),
-    sorted by row, then column.
-    """
-    if bg == 1:
-        return _load_base_graph("ldpc_bg1.txt"), 46, 68, 22
-    if bg == 2:
-        return _load_base_graph("ldpc_bg2.txt"), 42, 52, 10
-    raise ValueError(f"unknown base graph {bg}")
+    m_b, n_b = int(base[:, 0].max()) + 1, int(base[:, 1].max()) + 1
+    return base, m_b, n_b, n_b - m_b
 
 
 def _lift(entries: np.ndarray, z: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 transform encoding, and successive-cancellation (list) decoding.
 
 Block lengths are powers of two up to 1024, natural (non-bit-reversed)
-order.  Construction freezes the least reliable synthetic channels
-according to the bundled length-1024 reliability sequence; Reed-Muller
-codes reuse the same machinery with a row-weight information set.
+order.  Construction freezes the least reliable synthetic channels of
+the length-1024 beta-expansion reliability order, computed on first use
+(not the table of 3GPP TS 38.212); Reed-Muller codes reuse the same
+machinery with a row-weight information set.
 
 The CRC remainder is one GF(2) matrix product with the table of
 x^j mod g (the CRC has zero initial state, so it is linear).
@@ -39,7 +40,6 @@ descent where magnitudes tie.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,16 +129,16 @@ def crc_check(frame: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def reliability_sequence() -> np.ndarray:
-    """Bundled length-1024 index list, least reliable first."""
-    text = (
-        importlib.resources.files("linksim.data")
-        .joinpath("polar_reliability_1024.txt")
-        .read_text()
-    )
-    seq = np.asarray([int(t) for t in text.split()], dtype=np.int64)
-    if len(seq) != _MAX_N or set(seq.tolist()) != set(range(_MAX_N)):
-        raise ValueError("corrupt reliability sequence asset")
-    return seq
+    """Length-1024 synthetic-channel order, least reliable first: the
+    beta-expansion order of He et al. (IEEE GLOBECOM 2017), which weighs
+    index i by sum_j b_j beta^j over its bits b_j, beta = 2^(1/4).
+    Read-only, since every caller shares the cached array."""
+    beta = 2 ** 0.25
+    bits = (np.arange(_MAX_N)[:, None] >> np.arange(10)) & 1
+    weights = (bits * beta ** np.arange(10)).sum(axis=1)
+    order = np.argsort(weights, kind="stable")
+    order.setflags(write=False)
+    return order
 
 
 @dataclass
@@ -199,7 +199,7 @@ def _node_kinds(frozen_mask: np.ndarray) -> np.ndarray:
 
 
 def polar5g_construct(k: int, n: int, crc: Optional[CrcPolynomial] = None) -> PolarCode:
-    """Construct an (n, k) polar code from the bundled reliability order.
+    """Construct an (n, k) polar code from :func:`reliability_sequence`.
 
     This build restricts n to powers of two up to 1024, as checked by
     :class:`PolarCode` (no sub-block interleaving, puncturing, or

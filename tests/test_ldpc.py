@@ -496,6 +496,7 @@ class TestLdpcCode5G:
         # core parity columns, and extension row r has exactly one more
         # entry, its own parity column kb + r with shift 0.
         base, m_b, n_b, kb = _base_graph(bg)
+        assert (m_b, n_b, kb) == {1: (46, 68, 22), 2: (42, 52, 10)}[bg]
         rows, cols, shifts = base.T
         assert not base.flags.writeable
         assert np.all(np.diff(rows * n_b + cols) > 0)  # sorted, unique

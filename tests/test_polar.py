@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -67,6 +68,16 @@ class TestConstruction:
     def test_reliability_sequence_is_permutation(self):
         seq = reliability_sequence()
         assert sorted(seq.tolist()) == list(range(1024))
+
+    def test_reliability_sequence_is_pinned_and_read_only(self):
+        # The order every polar frozen set and reference CSV was built from.
+        seq = reliability_sequence()
+        digest = hashlib.sha256(seq.astype("<i8").tobytes()).hexdigest()
+        assert digest == ("9bdd1efde6e957bde9d838bc0be6b134"
+                          "645f1c1613aedbf062b142ccc1d1d2d8")
+        assert seq.dtype == np.int64 and not seq.flags.writeable
+        with pytest.raises(ValueError):
+            seq[0] = 1
 
     def test_most_reliable_positions_last(self):
         # Index n-1 (all stages combine) is always the most reliable.

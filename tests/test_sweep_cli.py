@@ -34,7 +34,7 @@ def base_config(**overrides):
                   "target_block_errors": 10, "max_batches_per_point": 3},
         "seed": 1,
     }
-    cfg.update(overrides)
+    cfg.update(copy.deepcopy(overrides))
     return cfg
 
 
@@ -351,18 +351,17 @@ class TestCsv:
 
 # Channel steps that no benchmark workload runs: ZF precoding, correlated
 # flat fading, and TDL over a grid with guards, a DC null and pilots on
-# every other subcarrier.  Every batch of both points runs.  The bases are
-# copied: base_config shares the nested dicts of its arguments.
+# every other subcarrier.  Every batch of both points runs.
 CHANNEL_CASES = {
-    "flat-zf": set_fields(copy.deepcopy(base_config(**FLAT)), {
+    "flat-zf": set_fields(base_config(**FLAT), {
         "code.k": 96, "modulation.bits_per_symbol": 4, "mimo.num_rx": 3,
         "mimo.precoder": "zf", "precision": "double"}),
-    "flat-correlated": set_fields(copy.deepcopy(base_config(**FLAT)), {
+    "flat-correlated": set_fields(base_config(**FLAT), {
         "mimo.num_rx": 3,
         "channel.correlation": {"r_tx": [[1, 0.5], [0.5, 1]],
                                 "r_rx": [[1, 0.3, 0.1], [0.3, 1, 0.3],
                                          [0.1, 0.3, 1]]}}),
-    "tdl-guards": set_fields(copy.deepcopy(base_config(**TDL)), {
+    "tdl-guards": set_fields(base_config(**TDL), {
         "code.k": 280, "ofdm.num_symbols": 3, "ofdm.guard_left": 4,
         "ofdm.guard_right": 3, "ofdm.dc_null": True,
         "ofdm.pilots": {"symbol_indices": [0], "subcarrier_step": 2, "seed": 7},
@@ -567,6 +566,10 @@ class TestCli:
         ({"sweep.ebno_db": [-100.5, 0.0]}, "sweep.ebno_db"),
         ({**CONV, "sweep.ebno_db": [4000]}, "sweep.ebno_db"),
         ({**CONV, "sweep.ebno_db": [-4000]}, "sweep.ebno_db"),
+        ({**POLAR, "code.k": 6, "code.decoder.crc": "crc6"}, "code.k"),
+        ({**FLAT, "mimo.num_tx": 3, "mimo.num_rx": 3}, "mimo.num_tx"),
+        ({**TDL, "channel.powers": [0.5, 0.5],
+          "channel.delays_s": [0.0, 5 / 960e3]}, "ofdm.cp_length"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
@@ -707,6 +710,23 @@ def test_csv_independent_of_simd_dispatch(name):
         return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
 
     assert sweep_csv(baseline) == sweep_csv(dict(os.environ))
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_sweep_does_not_import_numpy_ma(name):
+    # test_setup_does_not_import_numpy_ma builds the pipeline only; a sweep
+    # also runs the per-batch code: demappers, channels and decoders.
+    cfg = workloads.config(name, 42, batch_size=4)
+    script = (
+        "import json, sys\n"
+        "from linksim.sweep import SimConfig, run_sweep\n"
+        f"run_sweep(SimConfig.from_dict(json.loads({json.dumps(cfg)!r})))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Bases of the config fuzz: the benchmark workloads, flat MIMO with

@@ -1,23 +1,20 @@
-"""Regenerate the bundled data assets under src/linksim/data/.
+"""Regenerate the bundled LDPC base graphs under src/linksim/data/.
 
-Both assets are produced deterministically:
-
-* ``polar_reliability_1024.txt`` — length-1024 synthetic-channel
-  reliability order computed with the polarization-weight (beta-expansion)
-  method, beta = 2**(1/4).  One index per line, least reliable first.
-
-* ``ldpc_bg1.txt`` / ``ldpc_bg2.txt`` — quasi-cyclic LDPC base graphs
-  (46x68 with 22 systematic columns, 42x52 with 10).  The four core parity
-  columns use the classic accumulate structure whose row sum isolates the
-  first parity block through a single shift-1 circulant, so encoding is a
-  cheap structured solve.  Connection patterns and circulant shifts are
-  drawn from a fixed seed with short-cycle avoidance for the lifting sizes
-  exercised in the tests.
+``ldpc_bg1.txt`` / ``ldpc_bg2.txt`` are quasi-cyclic LDPC base graphs (46x68
+with 22 systematic columns, 42x52 with 10), one ``row col shift`` entry per
+line; the library reads the sizes off the entries.  The four core parity
+columns use the classic accumulate structure whose row sum isolates the
+first parity block through a single shift-1 circulant, so encoding is a
+cheap structured solve.  Connection patterns and circulant shifts are drawn
+from a fixed seed with short-cycle avoidance for the lifting sizes exercised
+in the tests.  Both files are produced deterministically.
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
+import sys
 
 import numpy as np
 
@@ -25,14 +22,6 @@ DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "linksim" / "da
 MAX_LIFT = 384
 # Lifting sizes whose lifted graphs should stay free of length-4 cycles.
 CYCLE_MODULI = (384, 192, 96, 48, 24, 16, 10, 20, 40)
-
-
-def polar_reliability(n: int = 1024, beta: float = 2 ** 0.25) -> np.ndarray:
-    idx = np.arange(n)
-    bits = (idx[:, None] >> np.arange(10)) & 1
-    weights = (bits * beta ** np.arange(10)).sum(axis=1)
-    # Stable sort: ascending polarization weight = ascending reliability.
-    return np.argsort(weights, kind="stable")
 
 
 def _core_entries(kb: int) -> dict:
@@ -123,13 +112,9 @@ def write_base_graph(path: pathlib.Path, entries: dict, m_b: int, n_b: int, kb: 
     path.write_text("\n".join(lines) + "\n")
 
 
-def main():
+def main(argv=()):
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-
-    order = polar_reliability()
-    (DATA_DIR / "polar_reliability_1024.txt").write_text(
-        "\n".join(str(int(i)) for i in order) + "\n"
-    )
 
     bg1 = make_base_graph(seed=20240817, m_b=46, n_b=68, kb=22,
                           core_row_deg=16, ext_degrees=[8, 6, 5, 4, 3])
@@ -142,4 +127,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
