@@ -121,7 +121,6 @@ class TdlProfile:
     powers: np.ndarray
     delays: np.ndarray  # seconds
     doppler_hz: float = 0.0
-    num_sinusoids: int = 32
 
     def __post_init__(self):
         self.powers = np.asarray(self.powers, dtype=np.float64)
@@ -159,19 +158,23 @@ class Cir:
             raise ValueError("delays must be non-negative and non-decreasing")
 
 
+TDL_NUM_SINUSOIDS = 32
+
+
 def generate_tdl_cir(profile: TdlProfile, batch: int, num_time_steps: int,
                      time_step: float, sampling_rate: float,
                      rng: RngStream) -> Cir:
     """Draw a time-variant TDL realization by the sum-of-sinusoids method.
 
-    Each tap is a Rayleigh process of power p_l whose time autocorrelation
+    Each tap is a Rayleigh process of power p_l summed from
+    ``TDL_NUM_SINUSOIDS`` (32) sinusoids; its time autocorrelation
     approaches ``p_l * J0(2 pi f_D dt)`` as the number of sinusoids grows.
     """
     if time_step <= 0:
         raise ValueError("time_step must be > 0")
     g = rng.generator()
     num_taps = len(profile.powers)
-    ns = profile.num_sinusoids
+    ns = TDL_NUM_SINUSOIDS
     # Random arrival angles and phases per (row, tap, sinusoid).
     theta = g.uniform(0.0, 2.0 * np.pi, size=(batch, num_taps, ns))
     phi = g.uniform(0.0, 2.0 * np.pi, size=(batch, num_taps, ns))
@@ -241,10 +244,7 @@ def save_cir_dataset(cir: Cir, path) -> None:
         "dtype": "c64",
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    flat = np.empty((cir.gains.size, 2), dtype="<f4")
-    flat[:, 0] = cir.gains.real.reshape(-1)
-    flat[:, 1] = cir.gains.imag.reshape(-1)
-    (path / "gains.bin").write_bytes(flat.tobytes())
+    (path / "gains.bin").write_bytes(cir.gains.astype("<c8").tobytes())
 
 
 def load_cir_dataset(path, batch_size: Optional[int] = None) -> Iterator[Cir]:
@@ -288,8 +288,8 @@ def load_cir_dataset(path, batch_size: Optional[int] = None) -> Iterator[Cir]:
         raise CirFormatError(
             f"payload has {len(raw)} bytes, manifest implies {expected}"
         )
-    flat = np.frombuffer(raw, dtype="<f4").reshape(-1, 2)
-    gains = (flat[:, 0] + 1j * flat[:, 1]).reshape(batch, taps, steps)
+    gains = np.frombuffer(raw, "<c8").astype(np.complex64)
+    gains = gains.reshape(batch, taps, steps)
     if batch_size is None:
         batch_size = batch
     for start in range(0, batch, batch_size):

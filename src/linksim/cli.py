@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help=f"batches per wave (env {ENV_WORKERS} overrides); "
                           "the CPU affinity mask sets the threads")
-    run.add_argument("--precision", choices=["single", "double"], default=None,
-                     help="override the config precision")
 
     val = sub.add_parser("validate", help="check a config and exit")
     val.add_argument("--config", required=True, help="JSON config file")
@@ -43,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, seed=None, precision=None) -> SimConfig:
+def _load_config(path: str, seed=None) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
@@ -55,8 +53,6 @@ def _load_config(path: str, seed=None, precision=None) -> SimConfig:
         raise ConfigError("<root>", "config must be a JSON object")
     if seed is not None:
         raw["seed"] = seed
-    if precision is not None:
-        raw["precision"] = precision
     return SimConfig.from_dict(raw)
 
 
@@ -78,7 +74,7 @@ def _num_workers(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, seed=args.seed, precision=args.precision)
+    cfg = _load_config(args.config, seed=args.seed)
     workers = _num_workers(args)
     try:
         result = run_sweep(cfg, num_workers=workers)

@@ -61,6 +61,9 @@ from .core import LLR_MAX, TILE_BYTES, map_tiles, tile_rows
 
 BP_VARIANTS = ("sum-product", "min-sum", "scaled-min-sum")
 
+# Check-to-variable message factor of "scaled-min-sum".
+MIN_SUM_SCALE = 0.75
+
 # Bytes of float64 messages in one BP row tile.  Threads hold the GIL
 # between numpy calls, so tiles twice the shared budget, which make half
 # the calls, run faster on the helper threads of ``map_tiles``.
@@ -202,7 +205,7 @@ def bp_decode(
     pcm: ParityCheckMatrix,
     num_iter: int = 20,
     variant: str = "sum-product",
-    scale: float = 0.75,
+    scale: float = MIN_SUM_SCALE,
     early_stop: bool = True,
 ):
     """Flooding-schedule belief propagation on a parity-check matrix.
@@ -555,10 +558,9 @@ def ldpc5g_decode(
     code: LdpcCode5G,
     num_iter: int = 20,
     variant: str = "sum-product",
-    scale: float = 0.75,
 ) -> np.ndarray:
     """BP-decode rate-matched LLRs and return the [batch, k] info bits."""
     llr = code._derate(llr, code._transmit_cols, len(code._decode_cols))
-    _, hard = _bp_tiled(llr, code._graph, num_iter, variant, scale,
+    _, hard = _bp_tiled(llr, code._graph, num_iter, variant, MIN_SUM_SCALE,
                         early_stop=True, soft=False)
     return hard[:, : code.k]

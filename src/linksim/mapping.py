@@ -123,12 +123,11 @@ def _factors(points: np.ndarray, num_bits: int) -> tuple:
 
 @dataclass
 class Constellation:
-    """Ordered complex points indexed by an integer bit label."""
+    """Ordered complex points indexed by bit label, at unit mean energy."""
 
     kind: str
     num_bits_per_symbol: int
     points: np.ndarray = field(default=None)
-    normalized: bool = True
 
     def __post_init__(self):
         m = self.num_bits_per_symbol
@@ -148,9 +147,8 @@ class Constellation:
             raise ValueError(
                 f"expected {1 << m} points, got shape {self.points.shape}"
             )
-        if self.normalized:
-            energy = np.mean(np.abs(self.points) ** 2)
-            self.points = self.points / np.sqrt(energy)
+        energy = np.mean(np.abs(self.points) ** 2)
+        self.points = self.points / np.sqrt(energy)
         self._bits = _labels_to_bits(m)
         self._factors = _factors(self.points, m)
 

@@ -335,11 +335,12 @@ def _g(a, b, beta_left):
     return g
 
 
-def _check_llr(llr: np.ndarray, code: PolarCode) -> np.ndarray:
-    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+def _root_alpha(llr: np.ndarray, code: PolarCode) -> np.ndarray:
+    """[batch, 1, N] root ln(p0/p1) LLRs: -llr in one float64 copy."""
+    llr = np.atleast_2d(np.asarray(llr))
     if llr.shape[-1] != code.block_length:
         raise ValueError(f"expected {code.block_length} LLRs, got {llr.shape[-1]}")
-    return llr
+    return np.negative(llr, dtype=np.float64)[:, None, :]
 
 
 def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np.ndarray:
@@ -348,7 +349,7 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
     Uses the min-sum f update by default; ``exact=True`` switches to the
     exact boxplus.
     """
-    llr = _check_llr(llr, code)
+    alpha = _root_alpha(llr, code)
 
     def leaf(a, frozen):
         return np.zeros(a.shape, np.uint8) if frozen else (a < 0).view(np.uint8), None
@@ -375,7 +376,7 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
 
     leaf.nodes = {RATE0: rate0, REP: rep} if exact else {
         RATE0: rate0, RATE1: rate1, REP: rep}
-    beta, _ = _walk(-llr[:, None, :], code.node_kinds,
+    beta, _ = _walk(alpha, code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
     return polar_transform(beta)[:, 0, code.info_set]
 
@@ -398,8 +399,8 @@ def polar_scl_decode(
         raise ValueError("list_size must be >= 1")
     if use_crc and code.crc is None:
         raise ValueError("use_crc requires a code constructed with a CRC")
-    llr = _check_llr(llr, code)
-    batch = llr.shape[0]
+    alpha = _root_alpha(llr, code)
+    batch = alpha.shape[0]
     metrics = np.full((batch, list_size), np.inf)
     metrics[:, 0] = 0.0
     # (path, bit) candidates of every row, and the flat index of each row.
@@ -438,7 +439,7 @@ def polar_scl_decode(
         return np.repeat(bits[..., None], alpha.shape[-1], axis=-1), parent
 
     leaf.nodes = {} if exact else {RATE0: rate0, REP: rep}
-    beta, _ = _walk(-llr[:, None, :], code.node_kinds,
+    beta, _ = _walk(alpha, code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
     # The transform is its own inverse: it maps partial sums back to bits.
     decisions = polar_transform(beta)[..., code.info_set]

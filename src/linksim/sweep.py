@@ -348,7 +348,6 @@ class SnrPointResult:
 
 @dataclass
 class SweepResult:
-    config: SimConfig
     points: list = field(default_factory=list)
 
 
@@ -453,7 +452,7 @@ def run_sweep(cfg: SimConfig, num_workers: int = 1) -> SweepResult:
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     pipeline = build_pipeline(cfg)
-    result = SweepResult(config=cfg)
+    result = SweepResult()
     consecutive_zero = 0
     for snr_idx, ebno_db in enumerate(cfg.snr_points):
         start = time.perf_counter()

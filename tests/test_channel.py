@@ -236,6 +236,20 @@ class TestCirDataset:
         assert np.allclose(np.concatenate([c.gains for c in chunks]),
                            cir.gains, atol=1e-6)
 
+    def test_complex64_round_trip_is_bit_exact(self, tmp_path):
+        # The payload interleaves little-endian float32 (re, im) pairs;
+        # signed zeros and infinite parts come back unchanged.
+        gains = np.array([[[complex(-0.0, 0.0), complex(1.5, -0.0)],
+                           [complex(1.0, np.inf), complex(-np.inf, 2.0)]]],
+                         np.complex64)
+        save_cir_dataset(Cir(gains=gains, delays=[0.0, 1e-6],
+                             sampling_rate=1e6), tmp_path / "ds")
+        pairs = np.stack([gains.real, gains.imag], axis=-1).astype("<f4")
+        assert (tmp_path / "ds" / "gains.bin").read_bytes() == pairs.tobytes()
+        loaded = next(load_cir_dataset(tmp_path / "ds")).gains
+        assert loaded.dtype == np.complex64 and loaded.flags.writeable
+        assert loaded.tobytes() == gains.tobytes()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CirFormatError):
             list(load_cir_dataset(tmp_path))
