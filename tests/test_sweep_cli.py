@@ -675,22 +675,39 @@ def test_csv_independent_of_simd_dispatch(name):
     assert sweep_csv(baseline) == sweep_csv(dict(os.environ))
 
 
-@pytest.mark.parametrize("name", workloads.NAMES)
-def test_workload_sweep_does_not_import_numpy_ma(name):
+def assert_no_numpy_ma(call, cfg):
     # A 1-D np.unique imports numpy.ma: about a megabyte and tens of
-    # milliseconds of every run.  The sweep builds the pipeline first, then
-    # runs the per-batch code: demappers, channels and decoders.
-    cfg = workloads.config(name, 42, batch_size=4)
+    # milliseconds of every run.  ``call`` runs in a fresh interpreter on
+    # the SimConfig built from ``cfg``.
     script = (
         "import json, sys\n"
-        "from linksim.sweep import SimConfig, run_sweep\n"
-        f"run_sweep(SimConfig.from_dict(json.loads({json.dumps(cfg)!r})))\n"
+        f"from linksim.sweep import SimConfig, {call}\n"
+        f"{call}(SimConfig.from_dict(json.loads({json.dumps(cfg)!r})))\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Set-up alone, one case per workload, under the case ids the test has
+# always had.
+SETUP_CASES = {"ldpc-awgn": "listing1", "polar-scl": "polar-cascl",
+               "conv-tdl": "ofdm-tdl", "ldpc-mimo": "mimo-ldpc"}
+
+
+@pytest.mark.parametrize("case", SETUP_CASES)
+def test_setup_does_not_import_numpy_ma(case):
+    assert_no_numpy_ma("build_pipeline",
+                       workloads.config(SETUP_CASES[case], 42))
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_sweep_does_not_import_numpy_ma(name):
+    # The sweep builds the pipeline first, then runs the per-batch code:
+    # demappers, channels and decoders.
+    assert_no_numpy_ma("run_sweep", workloads.config(name, 42, batch_size=4))
 
 
 # Bases of the config fuzz: the benchmark workloads, flat MIMO with
