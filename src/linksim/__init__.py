@@ -1,23 +1,20 @@
 """linksim: batch-parallel link-level physical-layer simulations.
 
 Pure numpy building blocks — bit sources, QAM/PSK mapping, LDPC,
-polar and convolutional codes, interleaving, fading channels, OFDM and
-MIMO processing — plus a deterministic Monte Carlo sweep engine with a
+polar and convolutional codes, fading channels, OFDM and MIMO
+processing — plus a deterministic Monte Carlo sweep engine with a
 small CLI.  Every block operates on arrays whose leading axis is the
 batch of independent trials; all randomness flows through counter-based
 :class:`RngStream` objects so results do not depend on worker count.
 """
 
 from .alist import AlistParseError, ParityCheckMatrix, parse_alist, to_alist
-from .channel import (Cir, CirFormatError, CorrelationPair, TdlProfile,
-                      apply_time_domain, awgn, cir_to_ofdm_channel,
-                      complex_gaussian, flat_fading, generate_tdl_cir,
-                      load_cir_dataset, save_cir_dataset)
+from .channel import (Cir, CorrelationPair, TdlProfile, apply_time_domain,
+                      awgn, cir_to_ofdm_channel, complex_gaussian,
+                      flat_fading, generate_tdl_cir)
 from .convcode import ConvCode, conv_encode, viterbi_decode
 from .core import (LLR_MAX, RngStream, binary_source, compute_ber,
                    compute_bler, count_errors, ebnodb2no, hard_decide)
-from .interleaving import (InterleaverSpec, deinterleave, descramble,
-                           interleave, scramble, scrambling_sequence)
 from .ldpc import (LdpcCode5G, bp_decode, exit_mutual_information,
                    ldpc5g_decode, ldpc5g_encode)
 from .mapping import Constellation, demap_app, demap_maxlog, map_bits
@@ -40,8 +37,7 @@ def feature_summary() -> list:
         "sources: seeded binary source, counter-based RNG streams",
         "mapping: Gray-labeled QAM/PSK, exact APP and max-log demappers",
         "fec: 5G-style QC-LDPC (BP), polar (SC/SCL/CA-SCL), convolutional (Viterbi), CRC",
-        "bit-level: block/random interleavers, scrambling",
-        "channels: AWGN, correlated flat fading, tapped-delay-line fading, CIR datasets",
+        "channels: AWGN, correlated flat fading, tapped-delay-line fading",
         "ofdm: resource grids, pilots, LS estimation, nearest-neighbor interpolation",
         "mimo: zero-forcing precoding, LMMSE equalization",
         "sweeps: deterministic multi-worker Monte Carlo with early stopping, CSV output",
@@ -50,14 +46,12 @@ def feature_summary() -> list:
 
 __all__ = [
     "AlistParseError", "ParityCheckMatrix", "parse_alist", "to_alist",
-    "Cir", "CirFormatError", "CorrelationPair", "TdlProfile",
-    "apply_time_domain", "awgn", "cir_to_ofdm_channel", "complex_gaussian",
-    "flat_fading", "generate_tdl_cir", "load_cir_dataset", "save_cir_dataset",
+    "Cir", "CorrelationPair", "TdlProfile", "apply_time_domain", "awgn",
+    "cir_to_ofdm_channel", "complex_gaussian", "flat_fading",
+    "generate_tdl_cir",
     "ConvCode", "conv_encode", "viterbi_decode",
     "LLR_MAX", "RngStream", "binary_source", "compute_ber", "compute_bler",
     "count_errors", "ebnodb2no", "hard_decide",
-    "InterleaverSpec", "deinterleave", "descramble", "interleave",
-    "scramble", "scrambling_sequence",
     "LdpcCode5G", "bp_decode", "exit_mutual_information", "ldpc5g_decode",
     "ldpc5g_encode",
     "Constellation", "demap_app", "demap_maxlog", "map_bits",

@@ -1,24 +1,16 @@
 """Channel models: AWGN, spatially correlated flat fading, generic
-time-variant tapped-delay-line fading, CIR datasets, and channel
-application in the time or frequency domain.
+time-variant tapped-delay-line fading, and channel application in the
+time or frequency domain.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import RngStream
-
-CIR_FORMAT_VERSION = 1
-
-
-class CirFormatError(ValueError):
-    """CIR dataset container violates its manifest."""
 
 
 def complex_gaussian(shape, rng: RngStream, variance: float = 1.0,
@@ -114,6 +106,27 @@ def flat_fading(x: np.ndarray, corr: Optional[CorrelationPair], num_rx: int,
     return y, h
 
 
+def _check_delays(delays: np.ndarray) -> None:
+    if np.any(delays < 0) or np.any(np.diff(delays) < 0):
+        raise ValueError("delays must be non-negative and non-decreasing")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a count that overflows is off the grid
+def delay_samples(delays, sampling_rate: float) -> np.ndarray:
+    """Tap delays in seconds as whole sample counts at ``sampling_rate``,
+    kept float64 so that a count beyond the int64 range keeps its size.
+    Raises ValueError unless the delays are non-negative, non-decreasing
+    and each within 1e-6 samples of the sample grid.
+    """
+    delays = np.asarray(delays, dtype=np.float64)
+    _check_delays(delays)
+    d = delays * sampling_rate
+    whole = np.round(d)
+    if not np.all(np.abs(d - whole) <= 1e-6):
+        raise ValueError("delays must lie on the sample grid")
+    return whole
+
+
 @dataclass
 class TdlProfile:
     """Tapped-delay-line power profile with classical Doppler fading."""
@@ -133,8 +146,7 @@ class TdlProfile:
             raise ValueError("tap powers must be positive")
         if abs(self.powers.sum() - 1.0) > 1e-9:
             raise ValueError("tap powers must sum to 1")
-        if np.any(self.delays < 0) or np.any(np.diff(self.delays) < 0):
-            raise ValueError("delays must be non-negative and non-decreasing")
+        _check_delays(self.delays)
 
 
 @dataclass
@@ -154,8 +166,7 @@ class Cir:
             raise ValueError("tap count mismatch between gains and delays")
         if self.gains.shape[2] < 1:
             raise ValueError("need at least one time step")
-        if np.any(self.delays < 0) or np.any(np.diff(self.delays) < 0):
-            raise ValueError("delays must be non-negative and non-decreasing")
+        _check_delays(self.delays)
 
 
 TDL_NUM_SINUSOIDS = 32
@@ -203,15 +214,13 @@ def apply_time_domain(x: np.ndarray, cir: Cir) -> np.ndarray:
         raise ValueError(
             f"{num_samples} samples not divisible into {steps} cir time steps"
         )
-    d = cir.delays * cir.sampling_rate
-    d_int = np.round(d).astype(np.int64)
-    if np.any(np.abs(d - d_int) > 1e-6):
-        raise ValueError("tap delays must be integer multiples of the sample period")
+    delays = delay_samples(cir.delays, cir.sampling_rate)
     per_step = num_samples // steps
     y = np.zeros((batch, num_samples), dtype=np.result_type(x.dtype, np.complex64))
-    for l, delay in enumerate(d_int):
+    for l, delay in enumerate(delays):
         if delay >= num_samples:
             continue
+        delay = int(delay)
         gain = np.repeat(cir.gains[:, l, :], per_step, axis=1)
         y[:, delay:] += gain[:, delay:] * x[:, : num_samples - delay]
     return y
@@ -227,72 +236,3 @@ def cir_to_ofdm_channel(cir: Cir, fft_size: int, subcarrier_spacing: float) -> n
     phase = np.exp(-2j * np.pi * np.outer(cir.delays, k * subcarrier_spacing))
     # [batch, taps, steps] x [taps, fft] -> [batch, steps, fft]
     return np.einsum("bls,lk->bsk", cir.gains, phase)
-
-
-def save_cir_dataset(cir: Cir, path) -> None:
-    """Write the CIR container: ``manifest.json`` plus ``gains.bin``."""
-    path = pathlib.Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    batch, taps, steps = cir.gains.shape
-    manifest = {
-        "version": CIR_FORMAT_VERSION,
-        "batch": batch,
-        "num_taps": taps,
-        "num_time_steps": steps,
-        "sampling_rate_hz": float(cir.sampling_rate),
-        "delays_s": [float(d) for d in cir.delays],
-        "dtype": "c64",
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    (path / "gains.bin").write_bytes(cir.gains.astype("<c8").tobytes())
-
-
-def load_cir_dataset(path, batch_size: Optional[int] = None) -> Iterator[Cir]:
-    """Stream CIR batches from a container directory, preserving order.
-
-    Yields :class:`Cir` chunks of ``batch_size`` rows (the full dataset
-    when omitted).  Raises :class:`CirFormatError` on manifest/payload
-    mismatch, truncation or another format version, and ``ValueError``
-    when ``batch_size < 1``.
-    """
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    path = pathlib.Path(path)
-    try:
-        manifest = json.loads((path / "manifest.json").read_text())
-    except FileNotFoundError as exc:
-        raise CirFormatError(f"missing manifest: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CirFormatError(f"invalid manifest: {exc}") from None
-    required = {"version", "batch", "num_taps", "num_time_steps",
-                "sampling_rate_hz", "delays_s", "dtype"}
-    missing = required - manifest.keys()
-    if missing:
-        raise CirFormatError(f"manifest missing fields: {sorted(missing)}")
-    if manifest["version"] != CIR_FORMAT_VERSION:
-        raise CirFormatError(f"unsupported version {manifest['version']!r}, "
-                             f"expected {CIR_FORMAT_VERSION}")
-    if manifest["dtype"] != "c64":
-        raise CirFormatError(f"unsupported dtype {manifest['dtype']!r}")
-    batch = int(manifest["batch"])
-    taps = int(manifest["num_taps"])
-    steps = int(manifest["num_time_steps"])
-    delays = np.asarray(manifest["delays_s"], dtype=np.float64)
-    if len(delays) != taps:
-        raise CirFormatError(
-            f"manifest declares {taps} taps but lists {len(delays)} delays"
-        )
-    raw = (path / "gains.bin").read_bytes()
-    expected = batch * taps * steps * 8
-    if len(raw) != expected:
-        raise CirFormatError(
-            f"payload has {len(raw)} bytes, manifest implies {expected}"
-        )
-    gains = np.frombuffer(raw, "<c8").astype(np.complex64)
-    gains = gains.reshape(batch, taps, steps)
-    if batch_size is None:
-        batch_size = batch
-    for start in range(0, batch, batch_size):
-        chunk = gains[start: start + batch_size]
-        yield Cir(gains=chunk, delays=delays,
-                  sampling_rate=float(manifest["sampling_rate_hz"]))

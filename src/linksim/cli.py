@@ -49,9 +49,7 @@ def _load_config(path: str, seed=None) -> SimConfig:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    if seed is not None:
+    if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
     return SimConfig.from_dict(raw)
 

@@ -9,8 +9,7 @@ unit-symbol-energy convention across the modem boundary.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,23 +39,6 @@ class PilotPattern:
     @property
     def num_pilots(self) -> int:
         return int(self.mask.sum())
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "num_symbols": self.mask.shape[0],
-            "num_subcarriers": self.mask.shape[1],
-            "mask": self.mask.astype(int).reshape(-1).tolist(),
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotPattern":
-        d = json.loads(text)
-        mask = np.asarray(d["mask"], dtype=bool).reshape(
-            d["num_symbols"], d["num_subcarriers"]
-        )
-        values = np.asarray([re + 1j * im for re, im in d["values"]])
-        return cls(mask=mask, values=values)
 
     @classmethod
     def regular(cls, num_symbols: int, num_subcarriers: int,

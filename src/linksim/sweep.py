@@ -254,17 +254,12 @@ def _tdl(chan, o, num_symbols):
     if grid.num_data_cells != num_symbols:
         raise ConfigError("ofdm.fft_size", f"grid has {grid.num_data_cells} data cells "
                           f"but the coded block maps to {num_symbols} symbols")
-    tdl = _build(
-        "channel.powers", ch.TdlProfile,
-        powers=np.asarray(chan("powers", [1.0], list, item=float), dtype=float),
-        delays=np.asarray(chan("delays_s", [0.0], list, low=0, item=float),
-                          dtype=float),
-        doppler_hz=chan("doppler_hz", 0.0, float, low=0),
-    )
-    d = tdl.delays * grid.bandwidth
-    if np.any(np.abs(d - np.round(d)) > 1e-6):
-        raise ConfigError("channel.delays_s", "delays must lie on the sample grid")
-    if int(np.round(d.max())) > grid.cp_length:
+    powers = chan("powers", [1.0], list, item=float)
+    delays = chan("delays_s", [0.0], list, low=0, item=float)
+    taps = _build("channel.delays_s", ch.delay_samples, delays, grid.bandwidth)
+    tdl = _build("channel.powers", ch.TdlProfile, powers=powers, delays=delays,
+                 doppler_hz=chan("doppler_hz", 0.0, float, low=0))
+    if taps.max() > grid.cp_length:
         raise ConfigError("ofdm.cp_length", "cyclic prefix shorter than the delay spread")
 
     def step(x, no, rng):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from linksim.channel import (Cir, CirFormatError, CorrelationPair, TdlProfile,
+from linksim.channel import (Cir, CorrelationPair, TdlProfile,
                              apply_time_domain, awgn, cir_to_ofdm_channel,
-                             complex_gaussian, flat_fading, generate_tdl_cir,
-                             load_cir_dataset, save_cir_dataset)
+                             complex_gaussian, flat_fading, generate_tdl_cir)
 from linksim.core import RngStream
 
 
@@ -215,83 +214,3 @@ class TestCirToOfdmChannel:
         padded[0], padded[3] = taps
         assert np.allclose(h[0, 0], np.fft.fft(padded))
 
-
-class TestCirDataset:
-    def test_round_trip(self, tmp_path):
-        profile = TdlProfile(powers=[0.6, 0.4], delays=[0.0, 2e-6],
-                             doppler_hz=30.0)
-        cir = generate_tdl_cir(profile, 8, 4, 1e-3, 1e6, RngStream(16))
-        save_cir_dataset(cir, tmp_path / "ds")
-        loaded = list(load_cir_dataset(tmp_path / "ds"))
-        assert len(loaded) == 1
-        assert np.allclose(loaded[0].gains, cir.gains, atol=1e-6)
-        assert np.array_equal(loaded[0].delays, cir.delays)
-
-    def test_chunked_loading_preserves_order(self, tmp_path):
-        profile = TdlProfile(powers=[1.0], delays=[0.0])
-        cir = generate_tdl_cir(profile, 10, 2, 1e-3, 1e6, RngStream(17))
-        save_cir_dataset(cir, tmp_path / "ds")
-        chunks = list(load_cir_dataset(tmp_path / "ds", batch_size=4))
-        assert [c.gains.shape[0] for c in chunks] == [4, 4, 2]
-        assert np.allclose(np.concatenate([c.gains for c in chunks]),
-                           cir.gains, atol=1e-6)
-
-    def test_complex64_round_trip_is_bit_exact(self, tmp_path):
-        # The payload interleaves little-endian float32 (re, im) pairs;
-        # signed zeros and infinite parts come back unchanged.
-        gains = np.array([[[complex(-0.0, 0.0), complex(1.5, -0.0)],
-                           [complex(1.0, np.inf), complex(-np.inf, 2.0)]]],
-                         np.complex64)
-        save_cir_dataset(Cir(gains=gains, delays=[0.0, 1e-6],
-                             sampling_rate=1e6), tmp_path / "ds")
-        pairs = np.stack([gains.real, gains.imag], axis=-1).astype("<f4")
-        assert (tmp_path / "ds" / "gains.bin").read_bytes() == pairs.tobytes()
-        loaded = next(load_cir_dataset(tmp_path / "ds")).gains
-        assert loaded.dtype == np.complex64 and loaded.flags.writeable
-        assert loaded.tobytes() == gains.tobytes()
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(CirFormatError):
-            list(load_cir_dataset(tmp_path))
-
-    def test_truncated_payload(self, tmp_path):
-        profile = TdlProfile(powers=[1.0], delays=[0.0])
-        cir = generate_tdl_cir(profile, 4, 2, 1e-3, 1e6, RngStream(18))
-        save_cir_dataset(cir, tmp_path / "ds")
-        blob = (tmp_path / "ds" / "gains.bin").read_bytes()
-        (tmp_path / "ds" / "gains.bin").write_bytes(blob[:-8])
-        with pytest.raises(CirFormatError):
-            list(load_cir_dataset(tmp_path / "ds"))
-
-    def test_manifest_field_missing(self, tmp_path):
-        profile = TdlProfile(powers=[1.0], delays=[0.0])
-        cir = generate_tdl_cir(profile, 2, 2, 1e-3, 1e6, RngStream(19))
-        save_cir_dataset(cir, tmp_path / "ds")
-        import json
-        mpath = tmp_path / "ds" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        del manifest["num_taps"]
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(CirFormatError):
-            list(load_cir_dataset(tmp_path / "ds"))
-
-    @pytest.mark.parametrize("version", [0, 2, 99, "1"])
-    def test_other_version_rejected(self, tmp_path, version):
-        import json
-        cir = generate_tdl_cir(TdlProfile(powers=[1.0], delays=[0.0]),
-                               2, 2, 1e-3, 1e6, RngStream(20))
-        save_cir_dataset(cir, tmp_path / "ds")
-        mpath = tmp_path / "ds" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["version"] = version
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(CirFormatError, match="version"):
-            list(load_cir_dataset(tmp_path / "ds"))
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, tmp_path, batch_size):
-        cir = generate_tdl_cir(TdlProfile(powers=[1.0], delays=[0.0]),
-                               2, 2, 1e-3, 1e6, RngStream(21))
-        save_cir_dataset(cir, tmp_path / "ds")
-        with pytest.raises(ValueError, match="batch_size"):
-            list(load_cir_dataset(tmp_path / "ds", batch_size=batch_size))

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -475,6 +476,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "linksim" in out
 
+    def test_public_names_match_all(self):
+        assert all(hasattr(linksim, name) for name in linksim.__all__)
+        namespace = {}
+        exec("from linksim import *", namespace)
+        assert set(linksim.__all__) <= namespace.keys()
+        public = {name for name, value in vars(linksim).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)}
+        assert public <= set(linksim.__all__)
+
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
 
@@ -578,6 +588,14 @@ class TestCli:
         ({**FLAT, "mimo.num_tx": 3, "mimo.num_rx": 3}, "mimo.num_tx"),
         ({**TDL, "channel.powers": [0.5, 0.5],
           "channel.delays_s": [0.0, 5 / 960e3]}, "ofdm.cp_length"),
+        ({**TDL, "channel.powers": [0.5, 0.25, 0.25],
+          "channel.delays_s": [0.0, 3 / 960e3, 1 / 960e3]}, "channel.delays_s"),
+        ({**TDL, "channel.powers": [0.5, 0.5],
+          "channel.delays_s": [0.0, 1.5 / 960e3]}, "channel.delays_s"),
+        ({**TDL, "channel.powers": [0.5, 0.5],
+          "channel.delays_s": [0.0, 1e303]}, "channel.delays_s"),
+        ({**TDL, "channel.powers": [0.5, 0.5],
+          "channel.delays_s": [0.0, 1e20 / 960e3]}, "ofdm.cp_length"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
@@ -589,6 +607,12 @@ class TestCli:
         cfg = set_fields(base_config(), {"sweep.batchsize": 10})
         assert main(["validate", "--config", self._write_config(tmp_path, cfg)]) == 2
         assert "did you mean 'batch_size'?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["validate"], ["run", "--seed", "3"]])
+    def test_config_not_an_object(self, tmp_path, capsys, argv):
+        path = self._write_config(tmp_path, [1, 2])
+        assert main([*argv, "--config", path]) == 2
+        assert "<root>:" in capsys.readouterr().err
 
     def test_disabled_section_may_keep_its_fields(self, tmp_path, capsys):
         cfg = base_config(ofdm={"enabled": False, "fft_size": 64},
