@@ -9,7 +9,6 @@ simulated in parallel.  Bits are stored as ``uint8`` arrays with values in
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
 from dataclasses import dataclass
@@ -112,42 +111,35 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Helper threads of map_tiles, the only threads linksim starts: one per
-# further CPU, so the calling thread and the helpers use each CPU once.  The
-# sweep's batch waves and the BP row tiles share them.  The affinity mask
-# (``taskset``) is the only control, as with a threaded BLAS.
+# Helper threads of map_tiles, the only threads linksim starts: at most one
+# per further CPU alive at once, counted process-wide, so the calling threads
+# and the helpers use each CPU once.  The sweep's batch waves and the BP row
+# tiles share the count.  The affinity mask (``taskset``) is the only
+# control, as with a threaded BLAS.
 _HELPERS = cpu_count() - 1
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _helper_pool() -> concurrent.futures.ThreadPoolExecutor:
-    """The process-wide pool of ``_HELPERS`` threads, created on first use
-    under a lock, so concurrent first calls share one pool."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(_HELPERS,
-                                                          "linksim-tile")
-        return _pool
+_running = 0
+_running_lock = threading.Lock()
 
 
 def map_tiles(fn, starts) -> None:
     """Call ``fn(start)`` once for every start of the sequence ``starts``,
-    on the calling thread and on the helper threads at once.
+    on the calling thread and on helper threads at once.
 
     Each thread takes the next start from one shared iterator, so tiles
     that finish early leave more for the others.  ``fn`` must only write
     what its own tile owns; numpy releases the GIL inside each array
-    operation, so the tiles' operations overlap.  The calling thread always
-    works, and a helper task that has not started when the starts run out
-    is cancelled rather than waited for, so a call from inside another
-    pool, or from inside ``fn``, cannot deadlock.  An exception raised by
-    ``fn`` on any thread reaches the caller once every thread has stopped.
-    With one CPU no thread is started.
+    operation, so the tiles' operations overlap.  A call starts only the
+    helpers that the process-wide count of ``_HELPERS`` leaves free, and
+    joins them before it returns, so a nested call while every CPU is busy
+    runs inline, nothing waits for a helper, and no thread outlives the
+    call.  The first exception raised by ``fn`` on any thread reaches the
+    caller once every thread has stopped.  With one CPU no thread is
+    started.
     """
+    global _running
     pending = iter(starts)
     lock = threading.Lock()
+    errors = []
 
     def take():
         with lock:
@@ -158,22 +150,28 @@ def map_tiles(fn, starts) -> None:
         try:
             for start in iter(take, None):
                 fn(start)
-        except BaseException:
+        except BaseException as error:
             with lock:  # the other threads stop at their next take
                 pending = iter(())
-            raise
+                errors.append(error)
 
-    helpers = min(_HELPERS, len(starts) - 1)
-    futures = ([_helper_pool().submit(work) for _ in range(helpers)]
-               if helpers > 0 else [])
+    with _running_lock:
+        helpers = max(0, min(_HELPERS - _running, len(starts) - 1))
+        _running += helpers
+    threads = []
     try:
+        for i in range(helpers):
+            thread = threading.Thread(target=work, name=f"linksim-tile-{i}")
+            thread.start()
+            threads.append(thread)
         work()
     finally:
-        errors = [future.exception() for future in futures
-                  if not future.cancel()]
-    for error in errors:
-        if error is not None:
-            raise error
+        for thread in threads:
+            thread.join()
+        with _running_lock:
+            _running -= helpers
+    if errors:
+        raise errors[0]
 
 
 def hard_decide(llr: np.ndarray) -> np.ndarray:

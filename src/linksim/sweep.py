@@ -231,15 +231,20 @@ def _flat(chan, mimo, num_symbols):
 
 def _tdl(chan, o, num_symbols):
     ofdm_symbols = o("num_symbols", 14, low=1)
+    dc_null = o("dc_null", False, bool)
+    fft_size = o("fft_size", low=1 + dc_null)
+    guard_left = o("guard_left", 0, low=0, high=fft_size - 1 - dc_null)
+    # The bounded reads leave ResourceGrid only its spacing rule to fail.
     grid = _build(
-        "ofdm", ofdm_mod.ResourceGrid,
-        fft_size=o("fft_size", low=1),
+        "ofdm.subcarrier_spacing", ofdm_mod.ResourceGrid,
+        fft_size=fft_size,
         num_symbols=ofdm_symbols,
-        cp_length=o("cp_length", 0, low=0),
+        cp_length=o("cp_length", 0, low=0, high=fft_size - 1),
         subcarrier_spacing=o("subcarrier_spacing", 15e3, float),
-        guard_left=o("guard_left", 0, low=0),
-        guard_right=o("guard_right", 0, low=0),
-        dc_null=o("dc_null", False, bool),
+        guard_left=guard_left,
+        guard_right=o("guard_right", 0, low=0,
+                      high=fft_size - 1 - dc_null - guard_left),
+        dc_null=dc_null,
     )
     pilots = o.section("pilots")
     grid = replace(
@@ -256,6 +261,9 @@ def _tdl(chan, o, num_symbols):
                           f"but the coded block maps to {num_symbols} symbols")
     powers = chan("powers", [1.0], list, item=float)
     delays = chan("delays_s", [0.0], list, low=0, item=float)
+    if len(delays) != len(powers):
+        raise ConfigError("channel.delays_s", f"{len(delays)} entries, but "
+                          f"channel.powers has {len(powers)}")
     taps = _build("channel.delays_s", ch.delay_samples, delays, grid.bandwidth)
     tdl = _build("channel.powers", ch.TdlProfile, powers=powers, delays=delays,
                  doppler_hz=chan("doppler_hz", 0.0, float, low=0))

@@ -226,12 +226,48 @@ class TestMapTiles:
 
         assert run_with_timeout(run) == sorted(list(range(60)) * 3)
 
+    def test_nested_calls_stay_within_helper_count(self, monkeypatch):
+        # The nested calls of test_nested_calls_do_not_deadlock share one
+        # process-wide count: at no time are more than _HELPERS helpers
+        # alive, and once they return a call can start a helper again.
+        monkeypatch.setattr(core, "_HELPERS", 1)
+        alive = []
+
+        def tile(start):
+            alive.append(sum(t.name.startswith("linksim-tile")
+                             for t in threading.enumerate()))
+
+        def sweep_worker():
+            map_tiles(lambda start: map_tiles(tile, range(10)), range(6))
+
+        def run():
+            workers = [threading.Thread(target=sweep_worker) for _ in range(3)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_with_timeout(run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(alive) == 180 and max(alive) <= 1, max(alive)
+        helper_ran = threading.Event()
+
+        def probe(start):
+            if threading.current_thread().name.startswith("linksim-tile"):
+                helper_ran.set()
+            assert helper_ran.wait(5)
+        run_with_timeout(lambda: map_tiles(probe, range(4)))
+
     def test_one_cpu_starts_no_thread(self):
         # Under a one-CPU affinity mask a multi-tile BP decode runs on the
-        # calling thread alone and creates no pool.
+        # calling thread alone.
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no affinity mask on this platform")
-        script = (
+        run_script(
             "import os, threading\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "import numpy as np\n"
@@ -242,11 +278,61 @@ class TestMapTiles:
             "llr = np.random.default_rng(0).standard_normal((rows, 300))\n"
             "ldpc5g_decode(llr, code)\n"
             "assert core._HELPERS == 0, core._HELPERS\n"
-            "assert core._pool is None\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
         )
-        src = str(Path(core.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_no_thread_outlives_the_call(self):
+        run_script(
+            USES_HELPER +
+            "before = threading.active_count()\n"
+            "assert uses_helper(), 'no tile ran on a helper'\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+        )
+
+    def test_forked_child_still_uses_helpers(self):
+        # A process forked after a call starts helpers of its own.
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        run_script(
+            USES_HELPER +
+            "assert uses_helper(), 'no tile ran on a helper'\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    try:\n"
+            "        os._exit(0 if uses_helper() else 3)\n"
+            "    except BaseException:\n"
+            "        os._exit(4)\n"
+            "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
+            "assert status == 0, f'child exited {status}'\n"
+        )
+
+
+# Script prelude: uses_helper() runs four tiles with one helper allowed and
+# says whether a linksim-tile thread ran one; the caller's tiles wait (at
+# most 5 s) for the helper to start, and the helper's tiles end late, so
+# the call returns before the helper only if it does not join it.
+USES_HELPER = (
+    "import os, threading, time\n"
+    "from linksim import core\n"
+    "core._HELPERS = 1\n"
+    "def uses_helper():\n"
+    "    ran = threading.Event()\n"
+    "    def fn(start):\n"
+    "        if threading.current_thread().name.startswith('linksim-tile'):\n"
+    "            ran.set()\n"
+    "            time.sleep(0.1)\n"
+    "        else:\n"
+    "            ran.wait(5)\n"
+    "    core.map_tiles(fn, range(4))\n"
+    "    return ran.is_set()\n"
+)
+
+
+def run_script(script):
+    """Run ``script`` in a new interpreter with linksim on its path; fail
+    with its stderr unless it exits 0."""
+    src = str(Path(core.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -113,6 +113,23 @@ def test_pairs_extracts_a_runnable_head(tmp_path):
     assert "--workload" in proc.stdout
 
 
+def test_pairs_copies_a_runnable_checkout(tmp_path):
+    # pairs runs the change side from a copy of the checkout: the files git
+    # tracks or does not ignore, and nothing it ignores.
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    load_bench().copy_checkout(tmp_path)
+    assert (tmp_path / "src" / "linksim" / "core.py").read_bytes() == \
+        (ROOT / "src" / "linksim" / "core.py").read_bytes()
+    assert not list(tmp_path.rglob("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--help"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "--workload" in proc.stdout
+
+
 @pytest.mark.parametrize("argv,change,status", [
     (["sweeps"], {"correct": True, "metrics": {"sweep_s": 1.0}}, 0),
     (["sweeps"], {"correct": False, "metrics": {"sweep_s": 1.0}}, 1),
@@ -127,17 +144,19 @@ def test_pairs_extracts_a_runnable_head(tmp_path):
 def test_bench_exit_status_follows_correct_runs(monkeypatch, capsys, argv,
                                                 change, status):
     # A stub perfbench_run returns `change` for the traced sweep of mimo-ldpc
-    # and for every run in this checkout; every other run is correct.
+    # and for every run in the copy of this checkout; every other run is
+    # correct.
     bench = load_bench()
+    copies = []
 
     def perfbench_run(tree, workload, trace=0):
-        if (tree == bench.ROOT and argv[0] == "pairs"
-                or (workload, trace) == ("mimo-ldpc", 1)):
+        if tree in copies or (workload, trace) == ("mimo-ldpc", 1):
             return change
         return {"correct": True, "metrics": {"sweep_s": 1.0}}
 
     monkeypatch.setattr(bench, "perfbench_run", perfbench_run)
     monkeypatch.setattr(bench, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "copy_checkout", copies.append)
     assert bench.main(argv) == status
     out = capsys.readouterr().out.splitlines()
     record = json.loads(out[-1])

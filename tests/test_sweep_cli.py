@@ -566,8 +566,11 @@ class TestCli:
         ({**CONV, "code.constraint_length": 10}, "code.constraint_length"),
         ({**TDL, "ofdm.pilots.symbol_indices": [5]}, "ofdm.pilots.symbol_indices"),
         ({**TDL, "ofdm.pilots.subcarrier_step": 0}, "ofdm.pilots.subcarrier_step"),
-        ({**TDL, "ofdm.cp_length": 64}, "ofdm"),
-        ({**TDL, "ofdm.subcarrier_spacing": 0}, "ofdm"),
+        # These two ids date from when the errors named the section only.
+        pytest.param({**TDL, "ofdm.cp_length": 64}, "ofdm.cp_length",
+                     id="updates19-ofdm"),
+        pytest.param({**TDL, "ofdm.subcarrier_spacing": 0}, "ofdm.subcarrier_spacing",
+                     id="updates20-ofdm"),
         ({**POLAR, "code.decoder.crc": ["x"]}, "code.decoder.crc"),
         ({"sweep.batchsize": 10}, "sweep.batchsize"),
         ({"precison": "double"}, "precison"),
@@ -596,6 +599,11 @@ class TestCli:
           "channel.delays_s": [0.0, 1e303]}, "channel.delays_s"),
         ({**TDL, "channel.powers": [0.5, 0.5],
           "channel.delays_s": [0.0, 1e20 / 960e3]}, "ofdm.cp_length"),
+        ({**TDL, "channel.delays_s": [0.0, 1 / 960e3]}, "channel.delays_s"),
+        ({**TDL, "ofdm.cp_length": 100}, "ofdm.cp_length"),
+        ({**TDL, "ofdm.subcarrier_spacing": -15e3}, "ofdm.subcarrier_spacing"),
+        ({**TDL, "ofdm.guard_left": 32, "ofdm.guard_right": 32}, "ofdm.guard_right"),
+        ({**TDL, "ofdm.fft_size": 1, "ofdm.dc_null": True}, "ofdm.fft_size"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)

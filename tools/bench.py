@@ -49,10 +49,13 @@ performance change quotes.  The groups:
   ``--repeat`` does not apply: a run repeats its sweep for 15 s.
 
 ``pairs`` compares this checkout, uncommitted edits included, with the
-commit REV, extracted by ``git archive REV | tar -x`` into a temporary
-directory.  For each workload (default: every one of ``BENCHMARK.json``)
-it runs ``perfbench/run.py --seed 42 --seconds 15`` N times (default 8)
-in each tree, alternating the trees and which one runs first in a pair.
+commit REV.  Both sides run from copies in one temporary directory: REV
+extracted by ``git archive REV | tar -x``, and the checkout's tracked and
+untracked files that git does not ignore, as they are on disk, so that
+neither side runs from the working tree.  For each workload (default:
+every one of ``BENCHMARK.json``) it runs ``perfbench/run.py --seed 42
+--seconds 15`` N times (default 8) in each tree, alternating the trees
+and which one runs first in a pair.
 Per workload and end-to-end metric it prints both medians and
 interquartile ranges and the number of pairs the checkout won, by the
 metric's ``better`` direction, and every run's ``correct`` flag; the last
@@ -71,6 +74,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -214,6 +218,18 @@ def extract(rev: str, dest: Path) -> None:
         raise SystemExit(f"error: cannot extract {rev!r}")
 
 
+def copy_checkout(dest: Path) -> None:
+    """Copy the checkout's tracked and untracked, not ignored files, as they
+    are on disk, into ``dest``."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def perfbench_run(tree: Path, workload: str, trace: int = 0) -> dict:
     """One ``perfbench/run.py --seed 42 --seconds 15`` run in ``tree``: its
     correct flag and its metric values (none when it failed)."""
@@ -276,8 +292,10 @@ def summarize(runs, better):
 def run_pairs(rev: str, num_pairs: int, workloads, better) -> dict:
     runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
+        trees = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        trees["base"].mkdir()
         extract(rev, trees["base"])
+        copy_checkout(trees["change"])
         for workload in workloads:
             runs[workload] = []
             for i in range(num_pairs):
