@@ -174,6 +174,41 @@ def map_tiles(fn, starts) -> None:
         raise errors[0]
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in numpy's pairwise order, bit for bit that of
+    ``.sum(axis=-1)`` over a contiguous last axis: in order below 8 terms,
+    8 interleaved accumulators up to 128, halves (at a multiple of 8)
+    above.  Each step adds whole slabs, so a sum over the leading axis of
+    a C-contiguous array runs inner loops over all the other axes.
+    """
+    n = len(x)
+    if n < 8:
+        total = x[0].copy()
+        for i in range(1, n):
+            total += x[i]
+        return total
+    if n <= 128:
+        blocked = n - n % 8
+        acc = x[:8].copy()
+        for i in range(8, blocked, 8):
+            acc += x[i:i + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for i in range(blocked, n):
+            total += x[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+
+
+def _reduceat_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order ``np.add.reduceat`` adds a segment:
+    ``x[0] + pairwise(x[1:])``, bit for bit."""
+    if len(x) == 1:
+        return x[0].copy()
+    return x[0] + _pairwise_sum(x[1:])
+
+
 def hard_decide(llr: np.ndarray) -> np.ndarray:
     """Hard decision under the global LLR convention: 1 iff L > 0."""
     return (np.asarray(llr) > 0).astype(np.uint8)

@@ -27,8 +27,9 @@ Two things keep decoding cheap:
   the edges is a broadcast; a gather table lays the messages out as
   ``[d_v, vars, rows]`` per variable degree for the variable sums.  The
   sums add in the order ``np.add.reduceat`` uses on the check-by-check
-  edge list (:func:`_reduceat_sum`), so the output is byte for byte that
-  of a row-major ``[rows, edges]`` decoder with per-check ``reduceat``.
+  edge list (:func:`~linksim.core._reduceat_sum`), so the output is byte
+  for byte that of a row-major ``[rows, edges]`` decoder with per-check
+  ``reduceat``.
 - A pruned graph.  :class:`LdpcCode5G` builds its decoding graph once:
   the mother graph without the punctured degree-1 parity nodes that rate
   matching never sends, and without their checks (as in 3GPP TS 38.212
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alist import ParityCheckMatrix
-from .core import LLR_MAX, TILE_BYTES, map_tiles, tile_rows
+from .core import LLR_MAX, TILE_BYTES, _reduceat_sum, map_tiles, tile_rows
 
 BP_VARIANTS = ("sum-product", "min-sum", "scaled-min-sum")
 
@@ -147,38 +148,6 @@ class _EdgeGraph:
 # Built per call and stored nowhere: a graph cached on the caller's matrix
 # would be written by whichever thread decodes first.
 _edge_graph = _EdgeGraph.from_pcm
-
-
-def _reduceat_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order ``np.add.reduceat`` adds a segment:
-    ``x[0] + pairwise(x[1:])``, bit for bit."""
-    if len(x) == 1:
-        return x[0].copy()
-    return x[0] + _pairwise_sum(x[1:])
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """numpy's pairwise summation over axis 0: in order below 8 terms, 8
-    interleaved accumulators up to 128, halves (at a multiple of 8) above.
-    """
-    n = len(x)
-    if n < 8:
-        total = x[0].copy()
-        for i in range(1, n):
-            total += x[i]
-        return total
-    if n <= 128:
-        blocked = n - n % 8
-        acc = x[:8].copy()
-        for i in range(8, blocked, 8):
-            acc += x[i:i + 8]
-        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
-        for i in range(blocked, n):
-            total += x[i]
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 _PHI_MIN = 1e-12

@@ -10,8 +10,13 @@ machinery with a row-weight information set.
 The CRC remainder is one GF(2) matrix product with the table of
 x^j mod g (the CRC has zero initial state, so it is linear).
 
-SC and SCL decoding run one recursive walk of the code tree over
-[batch, paths, n] LLRs and differ only in the leaf that decides a bit.
+SC and SCL decoding run one recursive walk of the code tree and differ
+only in the leaf that decides a bit.  The walk holds its LLRs and
+partial sums node-major, as [n, batch, paths] arrays with the frames
+innermost (the inter-frame layout of Le Gal, Leroux and Jego,
+"Multi-Gb/s Software Decoding of Polar Codes", IEEE T-SP 2015): the two
+halves of every node are contiguous slabs, so each f, g, gather and XOR
+runs inner loops over all batch * paths rows, however small the node.
 The list decoder copies no path state when paths split (the lazy copy
 of Tal & Vardy, "List Decoding of Polar Codes", IEEE T-IT 2015): a
 leaf returns the parent of each surviving path, and a node gathers its
@@ -32,9 +37,11 @@ the path metrics and REP nodes by one fork: in exact arithmetic these
 sums equal the leaf-by-leaf penalties, and each node forks at most once
 with the same stable (path, bit) ranking, so the decisions are those of
 a decoder that copies every path and visits every leaf, up to the float
-order of the sums.  SPC nodes (only the first bit frozen) are descended:
-flipping the least reliable hard decision differs from the min-sum
-descent where magnitudes tie.
+order of the sums.  Those sums run over the node axis in numpy's
+pairwise order (:func:`~linksim.core._pairwise_sum`), the order of
+``.sum(axis=-1)`` over a [batch, paths, n] array.  SPC nodes (only the
+first bit frozen) are descended: flipping the least reliable hard
+decision differs from the min-sum descent where magnitudes tie.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .core import _pairwise_sum
 
 _MAX_N = 1024
 
@@ -228,21 +237,21 @@ def rm_construct(r: int, m: int) -> PolarCode:
 
 
 def _butterflies(x: np.ndarray) -> None:
-    """In place, every stage of the transform on the last axis of x:
-    x[..., :h] ^= x[..., h:2h] in each block of 2h, for h = 1, 2, 4, ..."""
-    n = x.shape[-1]
-    rows = x.reshape(-1, n)  # a view: x is C-contiguous
+    """In place, every stage of the transform on axis 1 of the C-contiguous
+    [outer, n, inner] array x: x[:, :h] ^= x[:, h:2h] in each block of 2h,
+    for h = 1, 2, 4, ..."""
+    outer, n, inner = x.shape
     h = 1
     while h < n:
-        blocks = rows.reshape(-1, n // (2 * h), 2, h)
-        blocks[:, :, 0, :] ^= blocks[:, :, 1, :]
+        blocks = x.reshape(outer, n // (2 * h), 2, h, inner)
+        blocks[:, :, 0] ^= blocks[:, :, 1]
         h *= 2
 
 
 # The transform of 8 bits packed MSB-first into a byte: its stages of
 # half-width 1, 2 and 4.
 _BYTE_TRANSFORM = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-_butterflies(_BYTE_TRANSFORM)
+_butterflies(_BYTE_TRANSFORM.reshape(256, 8, 1))
 _BYTE_TRANSFORM = np.packbits(_BYTE_TRANSFORM, axis=1)[:, 0]
 
 
@@ -253,15 +262,23 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     byte: one 256-entry table applies the stages of half-width 1, 2 and 4
     inside every byte, and the wider stages XOR byte blocks.  Below n = 8
     the byte's padding bits are zero, so the table's stages leave the
-    first n bits the transform of u.
+    first n bits the transform of u.  Bits laid out node-major, with the
+    last axis outermost in memory as the decoders' partial sums are, are
+    not packed: each stage XORs whole slabs of every row at once, and the
+    result keeps that layout.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
     n = u.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
+    nodes = np.moveaxis(u, -1, 0)
+    if nodes.flags.c_contiguous:
+        x = nodes.copy()
+        _butterflies(x.reshape(1, n, -1))
+        return np.moveaxis(x, 0, -1)
     x = np.packbits(u, axis=-1)
     np.take(_BYTE_TRANSFORM, x, out=x, mode="clip")  # unbuffered
-    _butterflies(x)
+    _butterflies(x.reshape(-1, x.shape[-1], 1))
     return np.unpackbits(x, axis=-1, count=n)
 
 
@@ -298,32 +315,45 @@ def _walk(alpha, kinds, f_func, leaf):
     :attr:`PolarCode.node_kinds`.  ``leaf(a, frozen)`` decides the bits of
     one leaf from its [batch, paths] LLRs and returns them with a parent
     map.  ``leaf.nodes`` maps node kinds to handlers that answer a whole
-    node from its LLRs the same way, or return ``None`` to descend.
-    Returns ``(beta, parent)``: the node's partial sums in the path order
-    at exit, and for each path at exit its row at entry in the
+    node the same way from its node-major [n, batch, paths] LLRs, with
+    node-major bits, or return ``None`` to descend.  Returns ``(beta,
+    parent)``: the node's [batch, paths, n] partial sums in the path
+    order at exit, and for each path at exit its row at entry in the
     [batch * paths, n] view, or ``None`` when no path moved.
+
+    The descent runs node-major (:func:`_descend`).  ``alpha`` is
+    transposed once on the way in, without a copy when it is the
+    transpose of a C-contiguous array as :func:`_root_alpha` builds it,
+    and the partial sums once on the way out, as a view.
     """
-    n = alpha.shape[-1]
+    beta, parent = _descend(np.ascontiguousarray(alpha.transpose(2, 0, 1)),
+                            kinds, f_func, leaf)
+    return beta.transpose(1, 2, 0), parent
+
+
+def _descend(alpha, kinds, f_func, leaf):
+    """:func:`_walk` on node-major [n, batch, paths] LLRs and partial sums."""
+    n = len(alpha)
     if n == 1:
-        bits, parent = leaf(alpha[..., 0], kinds[0, 0] == RATE0)
-        return bits[..., None], parent
+        bits, parent = leaf(alpha[0], kinds[0, 0] == RATE0)
+        return bits[None], parent
     node = leaf.nodes.get(kinds[0, n.bit_length() - 1])
     if node is not None:
         answer = node(alpha)
         if answer is not None:
             return answer
     h = n // 2
-    beta_left, parent = _walk(f_func(alpha[..., :h], alpha[..., h:]),
-                              kinds[:h], f_func, leaf)
-    if parent is not None and alpha.shape[1] > 1:
-        alpha = np.take(alpha.reshape(parent.size, -1), parent, axis=0)
-    beta_right, moved = _walk(_g(alpha[..., :h], alpha[..., h:], beta_left),
-                              kinds[h:], f_func, leaf)
+    beta_left, parent = _descend(f_func(alpha[:h], alpha[h:]),
+                                 kinds[:h], f_func, leaf)
+    if parent is not None and alpha.shape[-1] > 1:
+        alpha = np.take(alpha.reshape(n, -1), parent, axis=1)
+    beta_right, moved = _descend(_g(alpha[:h], alpha[h:], beta_left),
+                                 kinds[h:], f_func, leaf)
     if moved is not None:
-        if beta_left.shape[1] > 1:
-            beta_left = np.take(beta_left.reshape(moved.size, -1), moved, axis=0)
+        if beta_left.shape[-1] > 1:
+            beta_left = np.take(beta_left.reshape(h, -1), moved, axis=1)
         parent = moved if parent is None else np.take(parent, moved)
-    return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1), parent
+    return np.concatenate([beta_left ^ beta_right, beta_right]), parent
 
 
 def _g(a, b, beta_left):
@@ -336,11 +366,13 @@ def _g(a, b, beta_left):
 
 
 def _root_alpha(llr: np.ndarray, code: PolarCode) -> np.ndarray:
-    """[batch, 1, N] root ln(p0/p1) LLRs: -llr in one float64 copy."""
+    """[batch, 1, N] root ln(p0/p1) LLRs: -llr in one float64 copy, laid
+    out node-major, so that :func:`_walk` transposes it without a copy."""
     llr = np.atleast_2d(np.asarray(llr))
     if llr.shape[-1] != code.block_length:
         raise ValueError(f"expected {code.block_length} LLRs, got {llr.shape[-1]}")
-    return np.negative(llr, dtype=np.float64)[:, None, :]
+    alpha = np.negative(llr.T, dtype=np.float64, order="C")
+    return alpha[:, :, None].transpose(1, 2, 0)
 
 
 def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np.ndarray:
@@ -368,11 +400,11 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
     def rep(alpha):
         # The frozen left halves decide 0, so f is never read: the free
         # leaf sees the node's LLRs summed in the walk's halving order.
-        n, x = alpha.shape[-1], alpha
-        while x.shape[-1] > 1:
-            h = x.shape[-1] // 2
-            x = x[..., h:] + x[..., :h]
-        return np.repeat((x < 0).view(np.uint8), n, axis=-1), None
+        n, x = len(alpha), alpha
+        while len(x) > 1:
+            h = len(x) // 2
+            x = x[h:] + x[:h]
+        return np.repeat((x < 0).view(np.uint8), n, axis=0), None
 
     leaf.nodes = {RATE0: rate0, REP: rep} if exact else {
         RATE0: rate0, RATE1: rate1, REP: rep}
@@ -427,16 +459,17 @@ def polar_scl_decode(
         return fork(pen0, np.maximum(a, 0.0))
 
     # Under min-sum a node's leaf-by-leaf penalties for deciding all 0
-    # (all 1) sum to those of its own LLRs.
+    # (all 1) sum to those of its own LLRs, added in the pairwise order
+    # of a sum over a contiguous [batch, paths, n] axis.
     def rate0(alpha):
         nonlocal metrics
-        metrics = metrics + np.maximum(-alpha, 0.0).sum(axis=-1)
+        metrics = metrics + _pairwise_sum(np.maximum(-alpha, 0.0))
         return np.zeros(alpha.shape, np.uint8), None
 
     def rep(alpha):
-        bits, parent = fork(np.maximum(-alpha, 0.0).sum(axis=-1),
-                            np.maximum(alpha, 0.0).sum(axis=-1))
-        return np.repeat(bits[..., None], alpha.shape[-1], axis=-1), parent
+        bits, parent = fork(_pairwise_sum(np.maximum(-alpha, 0.0)),
+                            _pairwise_sum(np.maximum(alpha, 0.0)))
+        return np.repeat(bits[None], len(alpha), axis=0), parent
 
     leaf.nodes = {} if exact else {RATE0: rate0, REP: rep}
     beta, _ = _walk(alpha, code.node_kinds,

@@ -125,6 +125,21 @@ class TestHardDecide:
         assert np.array_equal(hard_decide(llr), [0, 0, 0, 1, 1])
 
 
+class TestPairwiseSum:
+    def test_order_of_a_contiguous_axis_sum(self):
+        # Magnitudes 1e16 apart: the rounding of a sum, and so its bytes,
+        # depend on the order of the additions.
+        g = np.random.default_rng(17)
+        values = [1e16, -1e16, 1.0, -1.0, 3.0, -3.0, 0.5]
+        for n in range(1, 1025):
+            for paths in (1, 8):
+                x = g.choice(values, size=(n, 3, paths))
+                want = np.ascontiguousarray(x.transpose(1, 2, 0)).sum(axis=-1)
+                got = core._pairwise_sum(x)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, paths)
+
+
 def run_with_timeout(fn, seconds=60):
     """Run ``fn`` on a daemon thread; fail instead of hanging on a deadlock."""
     done = []

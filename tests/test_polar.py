@@ -731,6 +731,19 @@ class TestTransformMatchesStageLoop:
         one = g.integers(0, 2, size=n, dtype=np.uint8)
         assert np.array_equal(polar_transform(one), seed_polar_transform(one))
 
+    @pytest.mark.parametrize("n", [2 ** m for m in range(1, 11)])
+    def test_node_major_layout(self, n):
+        # Bits stored [n, batch, paths], as the decoders' partial sums are.
+        g = np.random.default_rng(75 + n)
+        for shape in ((n, 37, 1), (n, 5, 8), (n, 0, 3)):
+            nodes = g.integers(0, 2, size=shape, dtype=np.uint8)
+            kept = nodes.copy()
+            u = nodes.transpose(1, 2, 0)
+            got = polar_transform(u)
+            assert got.dtype == np.uint8 and got.shape == u.shape
+            assert np.array_equal(got, seed_polar_transform(u)), shape
+            assert np.array_equal(nodes, kept)
+
 
 class TestNodeKinds:
     @pytest.mark.parametrize("label,code", SCL_CASES + [
@@ -824,3 +837,76 @@ class TestNodesMatchOracles:
                 want = scl_decode_oracle(llr, code, list_size=list_size,
                                          use_crc=use_crc, exact=exact)
                 assert np.array_equal(got, want), (exact, use_crc)
+
+
+# -- golden bits: decisions pinned by their sha256 -------------------------
+
+def spread_llr(code, batch, g):
+    """LLRs of random codewords with a quarter of the signs flipped and
+    magnitudes 1e16 apart, some zero: the rounding of a node's sums, and
+    so its decisions, depend on the order of the additions."""
+    words = polar_encode(
+        g.integers(0, 2, size=(batch, code.k), dtype=np.uint8), code)
+    sign = np.where(g.random(words.shape) < 0.25, 1.0 - 2.0 * words,
+                    2.0 * words - 1.0)
+    return sign * g.choice([0.0, 0.5, 1.0, 3.0, 1e16], size=words.shape)
+
+
+GOLDEN_CODES = [node_code(size, rotation, crc=CRC_POLYNOMIALS["crc6"])
+                for _, size, rotation in NODE_CASES] + [
+    polar5g_construct(512, 1024, crc=CRC_POLYNOMIALS["crc24a"])]
+
+GOLDEN_CASES = [("sc", 0, exact, False) for exact in (False, True)] + [
+    ("scl", list_size, exact, use_crc) for list_size in (1, 2, 8, 32)
+    for exact in (False, True) for use_crc in (False, True)]
+
+
+def golden_id(decoder, list_size, exact, use_crc):
+    return (f"{decoder}{list_size or ''}-{'exact' if exact else 'minsum'}"
+            + ("-crc" if use_crc else ""))
+
+
+def golden_digest(decoder, list_size, exact, use_crc):
+    """sha256 of the decisions on every golden code, in order."""
+    digest = hashlib.sha256()
+    for i, code in enumerate(GOLDEN_CODES):
+        llr = spread_llr(code, 8, np.random.default_rng(200 + i))
+        if decoder == "sc":
+            bits = polar_sc_decode(llr, code, exact=exact)
+        else:
+            bits = polar_scl_decode(llr, code, list_size=list_size,
+                                    use_crc=use_crc, exact=exact)
+        assert bits.dtype == np.uint8 and bits.shape == (8, code.k)
+        digest.update(np.ascontiguousarray(bits).tobytes())
+    return digest.hexdigest()
+
+
+GOLDEN = {
+    "sc-minsum": "50a4b218deda838cd48147727db9e07baea036ab926927f5ff4dbd48c0988504",
+    "sc-exact": "651b893d669453c3a1c3c63415af3238509cc45281ecbfe5e8f68fa752ab099f",
+    "scl1-minsum": "353a503278acc7dd542e2e81eb924574277a8051d304cf856c7c958ecb614019",
+    "scl1-minsum-crc": "353a503278acc7dd542e2e81eb924574277a8051d304cf856c7c958ecb614019",
+    "scl1-exact": "c4637e12b1437a2206bea2ab1f255fde3ad74bc83f8fd9b071757b3f1a74f090",
+    "scl1-exact-crc": "c4637e12b1437a2206bea2ab1f255fde3ad74bc83f8fd9b071757b3f1a74f090",
+    "scl2-minsum": "da6a244d778407b4ca60cb6a5ed0865efb102e11b4aa7f95241d6c2c36cd3fc9",
+    "scl2-minsum-crc": "7fbede980e08240d00bb874412b13aa6c7f338e260e96c6ada6ff813dee810ad",
+    "scl2-exact": "ec0d074b6ea870c595e69d2be6e770acee43c0052d43f2eb042526eaec1690a7",
+    "scl2-exact-crc": "3d7d8b7e628c5271c940a75a18711b99e269a7dac4574e607a160176c794fcbd",
+    "scl8-minsum": "98e909e32a75bf680751ca03664cb57903508428de3859f374db1793928a933e",
+    "scl8-minsum-crc": "b2e0c92ec5ba7eb4dfa0278ad57b897d6c13a249af021f004b01c75a4d8f1382",
+    "scl8-exact": "a49c88bd23ad4f0194abd62f504d369142661076f8c11a9ed7c9243a22e1b3ff",
+    "scl8-exact-crc": "6a21379f5d9e14817d17635c94841b5477f3e6696fb6e4fa0cf3cce79cf06214",
+    "scl32-minsum": "3cfa384bff83e5967178a81a55ddcdfdba30ab5849d5cab2c314f7961e4d18c1",
+    "scl32-minsum-crc": "c0a715fd175f49834455c8c4114a30004bd6be47a5aab94118ccbfef03a95835",
+    "scl32-exact": "368fadf64bf216f07fe837a0d850e9354851ce62207a266c5a3fb3772f71f29c",
+    "scl32-exact-crc": "62a7f9e3de767ed4dbecfc0abfd52fff4a7686786d81e783f754941c55fb1cc9",
+}
+
+
+@pytest.mark.parametrize("decoder,list_size,exact,use_crc", GOLDEN_CASES,
+                         ids=[golden_id(*case) for case in GOLDEN_CASES])
+def test_golden_decisions(decoder, list_size, exact, use_crc):
+    # Pinned from the [batch, paths, n] walk, whose node sums added over a
+    # contiguous last axis.
+    case = golden_id(decoder, list_size, exact, use_crc)
+    assert golden_digest(decoder, list_size, exact, use_crc) == GOLDEN[case]

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hot blocks at fixed shapes.
 
-    python3 tools/bench.py [GROUP ...] [--repeat N]
-    python3 tools/bench.py pairs --against REV [--pairs N] [--workload W ...]
+    python3 tools/bench.py [GROUP ...] [--repeat N] [--seed N]
+    python3 tools/bench.py pairs --against REV [--pairs N] [--seed N]
+                                 [--workload W ...]
 
 GROUP is one of bp, scl, demap, viterbi, encode, sweeps; with none given,
 every group runs.  Each micro-benchmark case runs one call on a fixed input
@@ -25,8 +26,10 @@ performance change quotes.  The groups:
 - scl: the polar5g (1024, 512) code with CRC-24A (488 payload bits), as
   in the benchmark's polar-cascl sweep, on 256 BPSK AWGN rows at
   Eb/N0 = 1 dB.  CA-SCL with L=8 and L=32 (``polar_scl_decode``,
-  ``use_crc=True``), the call the sweep makes, and SC
-  (``polar_sc_decode``), the L=1 baseline.
+  ``use_crc=True``), the call the sweep makes; SC (``polar_sc_decode``),
+  the L=1 baseline; and ca-scl-L8-2x256, two such L=8 decodes of
+  different batches at once on two threads, the wave polar-cascl runs at
+  2 workers (its rate counts both batches).
 - demap: noisy complex64 symbols (the dtype the sweep hands the demapper
   at ``precision: single``).  16-QAM and 64-QAM, APP and max-log,
   1024x250 symbols, scalar noise variance: the AWGN sweeps; 64-QAM APP,
@@ -43,25 +46,27 @@ performance change quotes.  The groups:
   the polar5g (1024, 512) CRC-24A encoder (``crc_attach`` then
   ``polar_encode``) at 256 rows, polar-cascl's.
 - sweeps: every workload of ``BENCHMARK.json`` through
-  ``perfbench/run.py --seed 42 --seconds 15``, untraced (``--trace 0``,
-  the end-to-end metrics) and traced (``--trace 1``, the per-layer
-  metrics); each row keeps the run's ``correct`` flag and its metrics.
-  ``--repeat`` does not apply: a run repeats its sweep for 15 s.
+  ``perfbench/run.py --seed S --seconds 15`` (``--seed`` sets S, default
+  42), untraced (``--trace 0``, the end-to-end metrics) and traced
+  (``--trace 1``, the per-layer metrics); each row keeps the seed, the
+  run's ``correct`` flag and its metrics.  ``--repeat`` does not apply:
+  a run repeats its sweep for 15 s.
 
 ``pairs`` compares this checkout, uncommitted edits included, with the
 commit REV.  Both sides run from copies in one temporary directory: REV
 extracted by ``git archive REV | tar -x``, and the checkout's tracked and
 untracked files that git does not ignore, as they are on disk, so that
 neither side runs from the working tree.  For each workload (default:
-every one of ``BENCHMARK.json``) it runs ``perfbench/run.py --seed 42
+every one of ``BENCHMARK.json``) it runs ``perfbench/run.py --seed S
 --seconds 15`` N times (default 8) in each tree, alternating the trees
-and which one runs first in a pair.
+and which one runs first in a pair.  ``--seed`` sets S (default 42): a
+claim needs a seed that was not used while the change was written.
 Per workload and end-to-end metric it prints both medians and
 interquartile ranges and the number of pairs the checkout won, by the
 metric's ``better`` direction, and every run's ``correct`` flag; the last
-line is one JSON object of these rows and the manifest.  ``--against
-HEAD`` in a clean checkout is an A/A run: it shows the spread and bias
-between two copies of the same code.
+line is one JSON object of these rows, the seed and the manifest.
+``--against HEAD`` in a clean checkout is an A/A run: it shows the
+spread and bias between two copies of the same code.
 
 When a ``perfbench/run.py`` run of the sweeps group or of ``pairs`` was
 not correct, the script names its workloads, prints its JSON line and
@@ -79,6 +84,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -131,20 +137,34 @@ def bench_scl(repeat):
     yield "case", "seconds", "codewords/s"
     k, n, rows, ebno_db = 512, 1024, 256, 1.0
     code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
-    rng = RngStream(5, 0)
-    payload = binary_source([rows, k - code.crc.degree], rng.child(0))
-    x = polar_encode(crc_attach(payload, code.crc), code)
     no = ebnodb2no(ebno_db, 1, k / n)
-    y = awgn((1.0 - 2.0 * x).astype(np.complex128), no, rng.child(1))
-    llr = -4.0 * np.real(y) / no
-    for label, decode in (
+
+    def draw(stream):
+        rng = RngStream(5, stream)
+        payload = binary_source([rows, k - code.crc.degree], rng.child(0))
+        x = polar_encode(crc_attach(payload, code.crc), code)
+        y = awgn((1.0 - 2.0 * x).astype(np.complex128), no, rng.child(1))
+        return -4.0 * np.real(y) / no
+
+    llr, other = draw(0), draw(1)
+
+    def wave():
+        # Two batches at once, as a polar-cascl wave at 2 workers.
+        thread = threading.Thread(target=polar_scl_decode, args=(other, code),
+                                  kwargs={"list_size": 8, "use_crc": True})
+        thread.start()
+        polar_scl_decode(llr, code, list_size=8, use_crc=True)
+        thread.join()
+
+    for label, decode, decoded in (
             ("ca-scl-L8", lambda: polar_scl_decode(
-                llr, code, list_size=8, use_crc=True)),
+                llr, code, list_size=8, use_crc=True), rows),
             ("ca-scl-L32", lambda: polar_scl_decode(
-                llr, code, list_size=32, use_crc=True)),
-            ("sc", lambda: polar_sc_decode(llr, code))):
+                llr, code, list_size=32, use_crc=True), rows),
+            ("sc", lambda: polar_sc_decode(llr, code), rows),
+            ("ca-scl-L8-2x256", wave, 2 * rows)):
         seconds = median_seconds(decode, repeat)
-        yield label, seconds, rows / seconds
+        yield label, seconds, decoded / seconds
 
 
 def bench_demap(repeat):
@@ -201,11 +221,12 @@ def bench_encode(repeat):
 
 
 def bench_sweeps(workloads):
-    yield "case", "correct", "metrics"
+    yield "case", "seed", "correct", "metrics"
     for workload in workloads:
         for trace in (0, 1):
             result = perfbench_run(ROOT, workload, trace)
-            yield f"{workload}-trace{trace}", result["correct"], result["metrics"]
+            yield (f"{workload}-trace{trace}", SEED, result["correct"],
+                   result["metrics"])
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -230,12 +251,17 @@ def copy_checkout(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+# The seed of every perfbench/run.py run of this process; --seed sets it.
+SEED = 42
+
+
 def perfbench_run(tree: Path, workload: str, trace: int = 0) -> dict:
-    """One ``perfbench/run.py --seed 42 --seconds 15`` run in ``tree``: its
-    correct flag and its metric values (none when it failed)."""
+    """One ``perfbench/run.py --seed SEED --seconds 15`` run in ``tree``:
+    its correct flag and its metric values (none when it failed)."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", "42", "--seconds", "15", "--trace", str(trace)],
+         workload, "--seed", str(SEED), "--seconds", "15", "--trace",
+         str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"correct": False, "metrics": {}}
@@ -307,7 +333,8 @@ def run_pairs(rev: str, num_pairs: int, workloads, better) -> dict:
                     f"{side} {pair[side]['metrics'].get('sweep_s', float('nan')):.3f} s"
                     f"{'' if pair[side]['correct'] else ' (not correct)'}"
                     for side in order), flush=True)
-    return {"against": rev, "pairs": num_pairs, "rows": summarize(runs, better)}
+    return {"against": rev, "seed": SEED, "pairs": num_pairs,
+            "rows": summarize(runs, better)}
 
 
 def not_correct(report, workloads) -> list:
@@ -320,8 +347,8 @@ def not_correct(report, workloads) -> list:
 
 
 def print_pairs(report, failed) -> None:
-    print(f"\nchange vs {report['against']}, {report['pairs']} pairs: "
-          "medians (IQR), pairs the change won")
+    print(f"\nchange vs {report['against']}, {report['pairs']} pairs at seed "
+          f"{report['seed']}: medians (IQR), pairs the change won")
     for row in report["rows"]:
         print(f"{row['workload']:<12}{row['metric']:<14}"
               f"{row['base_median']:>10.4g} ({row['base_iqr']:.3g}) -> "
@@ -359,6 +386,7 @@ def _cell(value) -> str:
 
 
 def main(argv=None) -> int:
+    global SEED
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     # name -> (cases of a repeat count, default repeat)
@@ -378,7 +406,11 @@ def main(argv=None) -> int:
                         help="pairs: runs per tree and workload (default 8)")
     parser.add_argument("--workload", action="append",
                         help="pairs: a workload to run (default: all)")
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help=f"sweeps and pairs: the perfbench/run.py seed "
+                        f"(default {SEED})")
     args = parser.parse_args(argv)
+    SEED = args.seed
     if args.groups == ["pairs"]:
         if not args.against:
             parser.error("pairs needs --against REV")
