@@ -106,16 +106,16 @@ def _crc_remainder(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
     deg = poly.degree
     length = bits.shape[1]
     g = int("".join(map(str, poly.coefficients)), 2)
-    width = (deg + 7) // 8
     powers = []  # x^(j + degree) mod g for j = 0 .. length - 1
     p = g ^ (1 << deg)
     for _ in range(length):
-        powers.append(p.to_bytes(width, "big"))
+        powers.append(p)
         p <<= 1
         if p >> deg:
             p ^= g
-    table = np.unpackbits(np.frombuffer(b"".join(powers), dtype=np.uint8))
-    table = table.reshape(length, 8 * width)[::-1, 8 * width - deg:]
+    # Row t: the bits of x^(l - 1 - t + degree) mod g, MSB first.
+    table = (np.array(powers[::-1], dtype=np.int64)[:, None]
+             >> np.arange(deg - 1, -1, -1)) & 1
     product = bits.astype(np.float64) @ table.astype(np.float64)
     return (product.astype(np.int64) & 1).astype(np.uint8)
 
@@ -237,59 +237,49 @@ def rm_construct(r: int, m: int) -> PolarCode:
 
 
 def _butterflies(x: np.ndarray) -> None:
-    """In place, every stage of the transform on axis 1 of the C-contiguous
-    [outer, n, inner] array x: x[:, :h] ^= x[:, h:2h] in each block of 2h,
-    for h = 1, 2, 4, ..."""
-    outer, n, inner = x.shape
+    """In place, every stage of the transform on the node axis of the
+    C-contiguous node-major [n, rows] array x: x[:h] ^= x[h:2h] in each
+    block of 2h, for h = 1, 2, 4, ..., so each stage XORs whole
+    [h, rows] slabs."""
+    n, rows = x.shape
     h = 1
     while h < n:
-        blocks = x.reshape(outer, n // (2 * h), 2, h, inner)
-        blocks[:, :, 0] ^= blocks[:, :, 1]
+        blocks = x.reshape(n // (2 * h), 2, h * rows)
+        blocks[:, 0] ^= blocks[:, 1]
         h *= 2
-
-
-# The transform of 8 bits packed MSB-first into a byte: its stages of
-# half-width 1, 2 and 4.
-_BYTE_TRANSFORM = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-_butterflies(_BYTE_TRANSFORM.reshape(256, 8, 1))
-_BYTE_TRANSFORM = np.packbits(_BYTE_TRANSFORM, axis=1)[:, 0]
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Apply the butterfly transform u -> u F^{(x) n} over GF(2).
 
-    ``u`` holds 0/1 bits on its last axis.  They are packed eight to a
-    byte: one 256-entry table applies the stages of half-width 1, 2 and 4
-    inside every byte, and the wider stages XOR byte blocks.  Below n = 8
-    the byte's padding bits are zero, so the table's stages leave the
-    first n bits the transform of u.  Bits laid out node-major, with the
-    last axis outermost in memory as the decoders' partial sums are, are
-    not packed: each stage XORs whole slabs of every row at once, and the
-    result keeps that layout.
+    ``u`` holds 0/1 bits on its last axis; other values are outside the
+    contract.  The bits are copied node-major, with the last axis
+    outermost in memory as the decoders' partial sums already are, so
+    each stage XORs whole slabs of every row at once.  The result is a
+    view of that copy in the axis order of ``u``.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
     n = u.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    nodes = np.moveaxis(u, -1, 0)
-    if nodes.flags.c_contiguous:
-        x = nodes.copy()
-        _butterflies(x.reshape(1, n, -1))
-        return np.moveaxis(x, 0, -1)
-    x = np.packbits(u, axis=-1)
-    np.take(_BYTE_TRANSFORM, x, out=x, mode="clip")  # unbuffered
-    _butterflies(x.reshape(-1, x.shape[-1], 1))
-    return np.unpackbits(x, axis=-1, count=n)
+    x = np.moveaxis(u, -1, 0).copy()
+    _butterflies(x.reshape(n, -1))
+    return np.moveaxis(x, 0, -1)
 
 
 def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Place info bits on the info set, zeros on frozen, and transform."""
+    """Place info bits on the info set, zeros on frozen, and transform.
+
+    The bits are scattered into a node-major [n, batch] array, the
+    layout :func:`polar_transform` works in, and come back as its
+    [batch, n] view.
+    """
     info_bits = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
     if info_bits.shape[-1] != code.k:
         raise ValueError(f"expected {code.k} info bits, got {info_bits.shape[-1]}")
-    u = np.zeros((info_bits.shape[0], code.block_length), dtype=np.uint8)
-    u[:, code.info_set] = info_bits
-    return polar_transform(u)
+    u = np.zeros((code.block_length, info_bits.shape[0]), dtype=np.uint8)
+    u[code.info_set] = info_bits.T
+    return polar_transform(u.T)
 
 
 def _f_minsum(a, b):

@@ -194,6 +194,17 @@ def _awgn(chan, stage, num_symbols):
     return lambda x, no, rng: (ch.awgn(x, no, rng.child(2)), no)
 
 
+def _correlation(corr, key):
+    """The list of rows ``key``: each entry a correlation coefficient, a
+    finite number in -1..1; the matrix shape is checked by its caller."""
+    rows = corr(key, kind=list)
+    if not all(_is(v, float) and -1 <= v <= 1 for row in rows
+               for v in (row if isinstance(row, list) else [row])):
+        raise ConfigError(f"{corr.path}{key}", "entries must be finite numbers "
+                          f"in -1..1, got {rows!r}")
+    return rows
+
+
 def _flat(chan, mimo, num_symbols):
     num_rx = mimo("num_rx", 2, low=1)
     # One stream per transmit antenna, at most one per receive antenna.
@@ -206,7 +217,7 @@ def _flat(chan, mimo, num_symbols):
     correlation = None
     corr = chan.section("correlation", None)
     if corr is not None:
-        r_tx, r_rx = corr("r_tx", kind=list), corr("r_rx", kind=list)
+        r_tx, r_rx = _correlation(corr, "r_tx"), _correlation(corr, "r_rx")
         correlation = _build("channel.correlation", lambda: ch.CorrelationPair(
             np.asarray(r_tx, dtype=float), np.asarray(r_rx, dtype=float)))
         if (len(r_tx), len(r_rx)) != (streams, num_rx):
@@ -266,7 +277,8 @@ def _tdl(chan, o, num_symbols):
                           f"channel.powers has {len(powers)}")
     taps = _build("channel.delays_s", ch.delay_samples, delays, grid.bandwidth)
     tdl = _build("channel.powers", ch.TdlProfile, powers=powers, delays=delays,
-                 doppler_hz=chan("doppler_hz", 0.0, float, low=0))
+                 doppler_hz=chan("doppler_hz", 0.0, float, low=0,
+                                 high=grid.bandwidth))
     if taps.max() > grid.cp_length:
         raise ConfigError("ofdm.cp_length", "cyclic prefix shorter than the delay spread")
 

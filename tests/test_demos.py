@@ -100,6 +100,16 @@ def test_pairs_summary_of_fixed_runs():
     assert v["change_correct"] == [True, False, True]
 
 
+@pytest.mark.parametrize("stdout", ["not json", ""])
+def test_perfbench_run_survives_malformed_output(tmp_path, stdout):
+    # run.py exits 0 but prints no JSON result: the run counts as failed.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print({stdout!r}, end='')\n")
+    assert load_bench().perfbench_run(tmp_path, "listing1") == {
+        "correct": False, "metrics": {}}
+
+
 def test_pairs_extracts_a_runnable_head(tmp_path):
     # pairs runs perfbench/run.py in the extracted tree.
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,

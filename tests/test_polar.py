@@ -715,7 +715,7 @@ def grid_llr(code, batch, g, zeros):
 
 
 class TestTransformMatchesStageLoop:
-    """The packed-byte transform returns the stage loop's bits."""
+    """The node-major slab transform returns the stage loop's bits."""
 
     @pytest.mark.parametrize("n", [2 ** m for m in range(1, 11)])
     def test_every_length(self, n):
@@ -743,6 +743,42 @@ class TestTransformMatchesStageLoop:
             assert got.dtype == np.uint8 and got.shape == u.shape
             assert np.array_equal(got, seed_polar_transform(u)), shape
             assert np.array_equal(nodes, kept)
+
+
+def scattered(info_bits, code):
+    """The [rows, n] u of the encoder: info bits on the info set."""
+    u = np.zeros((len(info_bits), code.block_length), dtype=np.uint8)
+    u[:, code.info_set] = info_bits
+    return u
+
+
+class TestEncodeMatchesStageLoop:
+    """polar_encode returns the stage loop's transform of the scattered u,
+    an oracle that shares no code with the encoder."""
+
+    @pytest.mark.parametrize("n", [2 ** m for m in range(1, 11)])
+    def test_every_length(self, n):
+        g = np.random.default_rng(90 + n)
+        code = polar5g_construct(n // 2, n)
+        for rows in (0, 1, 37):
+            info = g.integers(0, 2, size=(rows, code.k), dtype=np.uint8)
+            u = scattered(info, code)
+            kept_info, kept_u = info.copy(), u.copy()
+            got = polar_encode(info, code)
+            assert got.dtype == np.uint8 and got.shape == (rows, n)
+            assert np.array_equal(got, seed_polar_transform(u))
+            polar_transform(u)
+            # Neither writes its row-major input.
+            assert np.array_equal(info, kept_info) and np.array_equal(u, kept_u)
+        one = g.integers(0, 2, size=code.k, dtype=np.uint8)
+        assert np.array_equal(polar_encode(one, code),
+                              seed_polar_transform(scattered(one[None], code)))
+
+    def test_5g_crc24a_code(self):
+        code = polar5g_construct(512, 1024, crc=CRC_POLYNOMIALS["crc24a"])
+        frames = crc_attach(binary_source([37, 512 - 24], RngStream(91)), code.crc)
+        assert np.array_equal(polar_encode(frames, code),
+                              seed_polar_transform(scattered(frames, code)))
 
 
 class TestNodeKinds:

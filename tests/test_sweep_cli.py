@@ -604,12 +604,27 @@ class TestCli:
         ({**TDL, "ofdm.subcarrier_spacing": -15e3}, "ofdm.subcarrier_spacing"),
         ({**TDL, "ofdm.guard_left": 32, "ofdm.guard_right": 32}, "ofdm.guard_right"),
         ({**TDL, "ofdm.fft_size": 1, "ofdm.dc_null": True}, "ofdm.fft_size"),
+        ({**TDL, "channel.doppler_hz": 1e308}, "channel.doppler_hz"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[float("inf"), 0], [0, 1]],
+                                          "r_rx": [[1, 0], [0, 1]]}},
+         "channel.correlation.r_tx"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[1, 0], [0, 1]],
+                                          "r_rx": [[1, 0], [0, 1e308]]}},
+         "channel.correlation.r_rx"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[True, False], [False, True]],
+                                          "r_rx": [[1, 0], [0, 1]]}},
+         "channel.correlation.r_tx"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
         path = self._write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == 2
         assert f"{fieldname}:" in capsys.readouterr().err
+
+    def test_doppler_at_sampling_rate_runs(self, tmp_path, capsys):
+        # The TDL grid samples at 64 x 15 kHz = 960 kHz, the doppler_hz bound.
+        cfg = set_fields(base_config(), {**TDL, "channel.doppler_hz": 960e3})
+        assert main(["run", "--config", self._write_config(tmp_path, cfg)]) == 0
 
     def test_unknown_field_names_close_match(self, tmp_path, capsys):
         cfg = set_fields(base_config(), {"sweep.batchsize": 10})

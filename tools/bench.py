@@ -257,18 +257,22 @@ SEED = 42
 
 def perfbench_run(tree: Path, workload: str, trace: int = 0) -> dict:
     """One ``perfbench/run.py --seed SEED --seconds 15`` run in ``tree``:
-    its correct flag and its metric values (none when it failed)."""
+    its correct flag and its metric values (none when it failed: a nonzero
+    exit, or a last stdout line that is no JSON result)."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
          workload, "--seed", str(SEED), "--seconds", "15", "--trace",
          str(trace)],
         cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        return {"correct": False, "metrics": {}}
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return {"correct": result["correct"],
-            "metrics": {name: m["value"]
-                        for name, m in result["metrics"].items()}}
+    if proc.returncode == 0:
+        try:
+            result = json.loads(proc.stdout.splitlines()[-1])
+            return {"correct": result["correct"],
+                    "metrics": {name: m["value"]
+                                for name, m in result["metrics"].items()}}
+        except (IndexError, KeyError, TypeError, AttributeError, ValueError):
+            pass
+    return {"correct": False, "metrics": {}}
 
 
 def _iqr(values):
