@@ -47,7 +47,7 @@ def _load_config(path: str, seed=None) -> SimConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal too long
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from None
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed

@@ -11,12 +11,13 @@ The CRC remainder is one GF(2) matrix product with the table of
 x^j mod g (the CRC has zero initial state, so it is linear).
 
 SC and SCL decoding run one recursive walk of the code tree and differ
-only in the leaf that decides a bit.  The walk holds its LLRs and
-partial sums node-major, as [n, batch, paths] arrays with the frames
-innermost (the inter-frame layout of Le Gal, Leroux and Jego,
-"Multi-Gb/s Software Decoding of Polar Codes", IEEE T-SP 2015): the two
-halves of every node are contiguous slabs, so each f, g, gather and XOR
-runs inner loops over all batch * paths rows, however small the node.
+only in the leaf that decides a bit.  From the root's LLRs, copied once,
+to its partial sums, the walk holds every array node-major, as
+[n, batch, paths] with the frames innermost (the inter-frame layout of
+Le Gal, Leroux and Jego, "Multi-Gb/s Software Decoding of Polar Codes",
+IEEE T-SP 2015): the two halves of every node are contiguous slabs, so
+each f, g, gather and XOR runs inner loops over all batch * paths rows,
+however small the node.
 The list decoder copies no path state when paths split (the lazy copy
 of Tal & Vardy, "List Decoding of Polar Codes", IEEE T-IT 2015): a
 leaf returns the parent of each surviving path, and a node gathers its
@@ -270,16 +271,17 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 def polar_encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
     """Place info bits on the info set, zeros on frozen, and transform.
 
-    The bits are scattered into a node-major [n, batch] array, the
-    layout :func:`polar_transform` works in, and come back as its
-    [batch, n] view.
+    The bits are scattered into a fresh node-major [n, batch] array, the
+    layout :func:`_butterflies` works in, transformed there in place and
+    returned as its [batch, n] view.
     """
     info_bits = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
     if info_bits.shape[-1] != code.k:
         raise ValueError(f"expected {code.k} info bits, got {info_bits.shape[-1]}")
     u = np.zeros((code.block_length, info_bits.shape[0]), dtype=np.uint8)
     u[code.info_set] = info_bits.T
-    return polar_transform(u.T)
+    _butterflies(u)
+    return u.T
 
 
 def _f_minsum(a, b):
@@ -300,29 +302,17 @@ def _f_exact(a, b):
 def _walk(alpha, kinds, f_func, leaf):
     """Successive cancellation below one node of the code tree.
 
-    ``alpha`` holds the node's [batch, paths, n] ln(p0/p1) LLRs; a path
-    axis of 1 is shared by all paths.  ``kinds`` is the node's slice of
-    :attr:`PolarCode.node_kinds`.  ``leaf(a, frozen)`` decides the bits of
-    one leaf from its [batch, paths] LLRs and returns them with a parent
-    map.  ``leaf.nodes`` maps node kinds to handlers that answer a whole
-    node the same way from its node-major [n, batch, paths] LLRs, with
-    node-major bits, or return ``None`` to descend.  Returns ``(beta,
-    parent)``: the node's [batch, paths, n] partial sums in the path
-    order at exit, and for each path at exit its row at entry in the
-    [batch * paths, n] view, or ``None`` when no path moved.
-
-    The descent runs node-major (:func:`_descend`).  ``alpha`` is
-    transposed once on the way in, without a copy when it is the
-    transpose of a C-contiguous array as :func:`_root_alpha` builds it,
-    and the partial sums once on the way out, as a view.
+    ``alpha`` holds the node's node-major [n, batch, paths] ln(p0/p1)
+    LLRs; a path axis of 1 is shared by all paths.  ``kinds`` is the
+    node's slice of :attr:`PolarCode.node_kinds`.  ``leaf(a, frozen)``
+    decides the bits of one leaf from its [batch, paths] LLRs and returns
+    them with a parent map.  ``leaf.nodes`` maps node kinds to handlers
+    that answer a whole node the same way from its LLRs, or return
+    ``None`` to descend.  Returns ``(beta, parent)``: the node's
+    [n, batch, paths] partial sums in the path order at exit, and for
+    each path at exit its column at entry in the [n, batch * paths]
+    view, or ``None`` when no path moved.
     """
-    beta, parent = _descend(np.ascontiguousarray(alpha.transpose(2, 0, 1)),
-                            kinds, f_func, leaf)
-    return beta.transpose(1, 2, 0), parent
-
-
-def _descend(alpha, kinds, f_func, leaf):
-    """:func:`_walk` on node-major [n, batch, paths] LLRs and partial sums."""
     n = len(alpha)
     if n == 1:
         bits, parent = leaf(alpha[0], kinds[0, 0] == RATE0)
@@ -333,12 +323,12 @@ def _descend(alpha, kinds, f_func, leaf):
         if answer is not None:
             return answer
     h = n // 2
-    beta_left, parent = _descend(f_func(alpha[:h], alpha[h:]),
-                                 kinds[:h], f_func, leaf)
+    beta_left, parent = _walk(f_func(alpha[:h], alpha[h:]),
+                              kinds[:h], f_func, leaf)
     if parent is not None and alpha.shape[-1] > 1:
         alpha = np.take(alpha.reshape(n, -1), parent, axis=1)
-    beta_right, moved = _descend(_g(alpha[:h], alpha[h:], beta_left),
-                                 kinds[h:], f_func, leaf)
+    beta_right, moved = _walk(_g(alpha[:h], alpha[h:], beta_left),
+                              kinds[h:], f_func, leaf)
     if moved is not None:
         if beta_left.shape[-1] > 1:
             beta_left = np.take(beta_left.reshape(h, -1), moved, axis=1)
@@ -356,13 +346,12 @@ def _g(a, b, beta_left):
 
 
 def _root_alpha(llr: np.ndarray, code: PolarCode) -> np.ndarray:
-    """[batch, 1, N] root ln(p0/p1) LLRs: -llr in one float64 copy, laid
-    out node-major, so that :func:`_walk` transposes it without a copy."""
+    """Node-major [N, batch, 1] root ln(p0/p1) LLRs for :func:`_walk`:
+    -llr, transposed and cast in one C-contiguous float64 copy."""
     llr = np.atleast_2d(np.asarray(llr))
     if llr.shape[-1] != code.block_length:
         raise ValueError(f"expected {code.block_length} LLRs, got {llr.shape[-1]}")
-    alpha = np.negative(llr.T, dtype=np.float64, order="C")
-    return alpha[:, :, None].transpose(1, 2, 0)
+    return np.negative(llr.T, dtype=np.float64, order="C")[:, :, None]
 
 
 def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np.ndarray:
@@ -400,7 +389,7 @@ def polar_sc_decode(llr: np.ndarray, code: PolarCode, exact: bool = False) -> np
         RATE0: rate0, RATE1: rate1, REP: rep}
     beta, _ = _walk(alpha, code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
-    return polar_transform(beta)[:, 0, code.info_set]
+    return polar_transform(beta.transpose(1, 2, 0))[:, 0, code.info_set]
 
 
 def polar_scl_decode(
@@ -422,7 +411,7 @@ def polar_scl_decode(
     if use_crc and code.crc is None:
         raise ValueError("use_crc requires a code constructed with a CRC")
     alpha = _root_alpha(llr, code)
-    batch = alpha.shape[0]
+    batch = alpha.shape[1]
     metrics = np.full((batch, list_size), np.inf)
     metrics[:, 0] = 0.0
     # (path, bit) candidates of every row, and the flat index of each row.
@@ -434,7 +423,7 @@ def polar_scl_decode(
         nonlocal metrics
         np.add(metrics, pen0, out=cand[..., 0])
         np.add(metrics, pen1, out=cand[..., 1])
-        order = np.argsort(cand.reshape(batch, -1), axis=1,
+        order = np.argsort(cand.reshape(batch, 2 * list_size), axis=1,
                            kind="stable")[:, :list_size]
         order += first_cand
         metrics = np.take(cand, order)
@@ -465,9 +454,9 @@ def polar_scl_decode(
     beta, _ = _walk(alpha, code.node_kinds,
                     _f_exact if exact else _f_minsum, leaf)
     # The transform is its own inverse: it maps partial sums back to bits.
-    decisions = polar_transform(beta)[..., code.info_set]
+    decisions = polar_transform(beta.transpose(1, 2, 0))[..., code.info_set]
     if use_crc:
-        flat = decisions.reshape(batch * list_size, -1)
+        flat = decisions.reshape(batch * list_size, code.k)
         valid = crc_check(flat, code.crc).reshape(batch, list_size)
         # Rule out the failing paths, unless every path of the row fails.
         valid |= ~valid.any(axis=1, keepdims=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import difflib
 import io
-import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -59,8 +59,10 @@ class ConfigError(ValueError):
 
 def _is(value, kind) -> bool:
     if kind is float:
+        # An int compares with a float exactly, so an int beyond float
+        # range fails here as inf does, and NaN fails every comparison.
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
+                and -sys.float_info.max <= value <= sys.float_info.max)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 

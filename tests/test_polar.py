@@ -281,6 +281,57 @@ class TestSclDecode:
             polar_scl_decode(np.zeros((1, 8)), code, use_crc=True)
 
 
+ROOT_DECODERS = [
+    ("sc", lambda llr, code: polar_sc_decode(llr, code)),
+    ("sc-exact", lambda llr, code: polar_sc_decode(llr, code, exact=True)),
+    ("ca-scl-L1", lambda llr, code: polar_scl_decode(llr, code, list_size=1,
+                                                     use_crc=True)),
+    ("ca-scl-L4", lambda llr, code: polar_scl_decode(llr, code, list_size=4,
+                                                     use_crc=True)),
+]
+
+
+class TestRootInput:
+    """The root of both decoders: an empty batch decodes to no rows, and
+    LLRs of any layout and dtype decode as their C-contiguous float64
+    copy, without being written."""
+
+    @pytest.mark.parametrize("use_crc", [False, True])
+    @pytest.mark.parametrize("list_size", [1, 8])
+    def test_scl_empty_batch(self, list_size, use_crc):
+        code = polar5g_construct(40, 64, crc=CRC_POLYNOMIALS["crc6"])
+        got = polar_scl_decode(np.zeros((0, 64)), code, list_size=list_size,
+                               use_crc=use_crc)
+        assert got.shape == (0, code.k)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sc_empty_batch(self, exact):
+        code = polar5g_construct(40, 64, crc=CRC_POLYNOMIALS["crc6"])
+        got = polar_sc_decode(np.zeros((0, 64)), code, exact=exact)
+        assert got.shape == (0, code.k)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+    @pytest.mark.parametrize("label,decode", ROOT_DECODERS,
+                             ids=[d[0] for d in ROOT_DECODERS])
+    def test_layout_and_dtype(self, label, decode, layout):
+        code = polar5g_construct(40, 64, crc=CRC_POLYNOMIALS["crc6"])
+        rng = RngStream(35, 0)
+        x = polar_encode(crc_attach(binary_source([60, 34], rng.child(0)),
+                                    code.crc), code)
+        llr = bpsk_llr(x, ebnodb2no(1.0, 1, 40 / 64), rng.child(1))
+        if layout == "fortran":
+            llr = np.asfortranarray(llr)
+        elif layout == "strided":
+            llr = np.repeat(llr, 2, axis=1)[:, ::2]
+        else:
+            llr = llr.astype(np.float32)
+        before = llr.copy()
+        got = decode(llr, code)
+        assert np.array_equal(llr, before)
+        want = decode(np.ascontiguousarray(llr, dtype=np.float64), code)
+        assert np.array_equal(got, want)
+
+
 # -- oracles: the shift-register CRC and the copying SCL decoder ------------
 
 def crc_register_states(bits, poly):
@@ -611,7 +662,7 @@ class TestKernelsMatchSeed:
             for _ in range(list_size):  # fill the list: every metric 0
                 leaf(np.zeros((batch, 1)), False)
             leaf(-metrics, True)  # a frozen leaf adds max(metrics, 0)
-            return polar_transform(u), None
+            return polar_transform(u).transpose(2, 0, 1), None
 
         def fake_crc_check(frame, poly):
             assert frame.shape == (batch * list_size, code.k)
@@ -811,7 +862,7 @@ class TestNodeKinds:
         walk = polar._walk
 
         def spy(alpha, kinds, f_func, leaf):
-            if alpha.shape[-1] == code.block_length:
+            if len(alpha) == code.block_length:
                 roots.append(kinds)
             return walk(alpha, kinds, f_func, leaf)
 

@@ -614,12 +614,29 @@ class TestCli:
         ({**FLAT, "channel.correlation": {"r_tx": [[True, False], [False, True]],
                                           "r_rx": [[1, 0], [0, 1]]}},
          "channel.correlation.r_tx"),
+        ({**TDL, "channel.doppler_hz": 10**400}, "channel.doppler_hz"),
+        ({**TDL, "ofdm.subcarrier_spacing": 10**400}, "ofdm.subcarrier_spacing"),
+        ({"sweep.ebno_db": [0.0, 10**400]}, "sweep.ebno_db"),
+        ({**FLAT, "channel.correlation": {"r_tx": [[1, 0], [0, 10**400]],
+                                          "r_rx": [[1, 0], [0, 1]]}},
+         "channel.correlation.r_tx"),
     ])
     def test_run_rejects_bad_config(self, tmp_path, capsys, updates, fieldname):
         cfg = set_fields(base_config(), updates)
         path = self._write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == 2
         assert f"{fieldname}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_int_literal_too_long_for_python(self, tmp_path, capsys, command):
+        # Python 3.11+ refuses to parse an int literal of more than 4300
+        # digits (a plain ValueError, not a JSONDecodeError); 3.10 parses
+        # it, and the float field check rejects it.
+        cfg = set_fields(base_config(), {**TDL, "channel.doppler_hz": 12345.5})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace("12345.5", "1" + "0" * 5000))
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_doppler_at_sampling_rate_runs(self, tmp_path, capsys):
         # The TDL grid samples at 64 x 15 kHz = 960 kHz, the doppler_hz bound.

@@ -27,9 +27,11 @@ performance change quotes.  The groups:
   in the benchmark's polar-cascl sweep, on 256 BPSK AWGN rows at
   Eb/N0 = 1 dB.  CA-SCL with L=8 and L=32 (``polar_scl_decode``,
   ``use_crc=True``), the call the sweep makes; SC (``polar_sc_decode``),
-  the L=1 baseline; and ca-scl-L8-2x256, two such L=8 decodes of
-  different batches at once on two threads, the wave polar-cascl runs at
-  2 workers (its rate counts both batches).
+  the L=1 baseline; ca-scl-L8-2x256, two such L=8 decodes of different
+  batches at once on two threads, the wave polar-cascl runs at 2 workers
+  (its rate counts both batches); and ca-scl-L8-f32, the L=8 decode of
+  the same rows cast to float32, the dtype polar-cascl's demapper hands
+  the decoder at ``precision: single``.
 - demap: noisy complex64 symbols (the dtype the sweep hands the demapper
   at ``precision: single``).  16-QAM and 64-QAM, APP and max-log,
   1024x250 symbols, scalar noise variance: the AWGN sweeps; 64-QAM APP,
@@ -147,6 +149,7 @@ def bench_scl(repeat):
         return -4.0 * np.real(y) / no
 
     llr, other = draw(0), draw(1)
+    llr32 = llr.astype(np.float32)
 
     def wave():
         # Two batches at once, as a polar-cascl wave at 2 workers.
@@ -162,7 +165,9 @@ def bench_scl(repeat):
             ("ca-scl-L32", lambda: polar_scl_decode(
                 llr, code, list_size=32, use_crc=True), rows),
             ("sc", lambda: polar_sc_decode(llr, code), rows),
-            ("ca-scl-L8-2x256", wave, 2 * rows)):
+            ("ca-scl-L8-2x256", wave, 2 * rows),
+            ("ca-scl-L8-f32", lambda: polar_scl_decode(
+                llr32, code, list_size=8, use_crc=True), rows)):
         seconds = median_seconds(decode, repeat)
         yield label, seconds, decoded / seconds
 
