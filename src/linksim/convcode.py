@@ -11,6 +11,13 @@ inputs, newest at the MSB) is entered only from states 2(d mod S/2) and
 sum((2c - 1) * L) under the global convention L = ln(p1/p0).  A metric
 tie goes to the lower (even) predecessor, and under termination "none" to
 the lowest end state.
+
+The survivor memory holds one bit per state and step, the choice of
+predecessor, packed per chunk of steps and unpacked a chunk at a time by
+the traceback (Feygin and Gulak, IEEE T-COM 1993).  The choice of step t
+is the oldest input bit of the state that the step leaves, so it is the
+input of step t - (K - 1): the traceback reads the decisions off the
+choices and the end state, and no step stores its own input bit.
 """
 
 from __future__ import annotations
@@ -83,9 +90,11 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     gather of the branch metrics, one broadcast add of the predecessor
     metrics, one compare and one max over ``[2, S, batch]``.  Branch
     metrics are computed per chunk of steps whose ``[steps, labels,
-    batch]`` block stays near ``_TILE_BYTES``, so the memory beyond the
-    ``total * S * batch`` bytes of boolean back-pointers is bounded.  The
-    LLRs are cast to float64 on entry.
+    batch]`` block stays near ``_TILE_BYTES``, in float64 whether the LLRs
+    are float32 or float64 (other dtypes are cast once).  The survivor
+    memory holds one bit per state and step: each chunk's decisions are
+    packed into ``total * S * batch / 8`` bytes, and the traceback unpacks
+    them one chunk at a time.
 
     NaN LLRs are outside the contract: the metric max propagates a NaN
     that the strict comparison would have dropped.
@@ -97,7 +106,9 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     Returns:
         [batch, k] decoded information bits.
     """
-    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    llr = np.atleast_2d(np.asarray(llr))
+    if llr.dtype not in (np.float32, np.float64):
+        llr = llr.astype(np.float64)
     ng = code.num_outputs
     if llr.shape[1] % ng != 0:
         raise ValueError(f"LLR length {llr.shape[1]} not a multiple of {ng}")
@@ -109,6 +120,7 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     batch = llr.shape[0]
     num_states = code.num_states
     half = num_states // 2
+    memory = code.constraint_length - 1
 
     # The branch into state d = h*S/2 + j from predecessor 2j + c holds the
     # register 2d + c; label[c, h, j] indexes its distinct +/-1 output
@@ -125,11 +137,19 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
     # pred[c, 0, j] is the metric row of predecessor 2j + c.
     pred = metrics.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
     cand = np.empty((2, 2, half, batch))
-    backptr = np.empty((total, 2, half, batch), dtype=bool)
+    # chosen[t - t0] holds the decisions of step t of the chunk, indexed by
+    # state * batch + row, and survivors[t] the same packed eight to a byte,
+    # for every chunk but the last, which the traceback reads from chosen.
+    width = num_states * batch
+    chosen = np.empty((min(chunk, total), width), dtype=bool)
+    chosen_acs = chosen.reshape(len(chosen), 2, half, batch)
+    survivors = np.empty(((total - 1) // chunk * chunk, -(-width // 8)),
+                         dtype=np.uint8)
 
     llr_steps = llr.reshape(batch, total, ng)
     for t0 in range(0, total, chunk):
-        bm = np.einsum("lg,btg->tlb", symbols, llr_steps[:, t0:t0 + chunk])
+        bm = np.einsum("lg,btg->tlb", symbols, llr_steps[:, t0:t0 + chunk],
+                       dtype=np.float64)
         for t, bm_t in enumerate(bm, t0):
             # The labels are in range; "wrap" spares np.take the buffered
             # copy that its bounds check makes for ``out``.
@@ -138,21 +158,36 @@ def viterbi_decode(llr: np.ndarray, code: ConvCode) -> np.ndarray:
             # Strict >: a tie goes to the lower (even) predecessor.  The max
             # keeps the same value up to the sign of a zero, which no later
             # comparison sees.
-            np.greater(cand[1], cand[0], out=backptr[t])
+            np.greater(cand[1], cand[0], out=chosen_acs[t - t0])
             np.maximum(cand[0], cand[1], out=metrics.reshape(2, half, batch))
             if t >= k:  # tail: only input 0, which enters the states below S/2
                 metrics[half:] = -np.inf
+        if t0 + chunk < total:
+            survivors[t0:t0 + chunk] = np.packbits(chosen, axis=-1)
+    # The branch metrics are freed here, and each unpacked chunk before the
+    # next one is unpacked, so that the traceback's peak stays below the
+    # forward pass's.
+    del bm, bm_t, chosen_acs
 
     if code.termination == "zero-tail":
         state = np.zeros(batch, dtype=np.int64)
     else:
         state = np.argmax(metrics, axis=0)
-    # Row t of the flat back-pointers is indexed by state * batch + row.
-    flat = backptr.reshape(total, num_states * batch)
-    cols = np.arange(batch)
+    # The choice of step t is the oldest input held by the state it leaves,
+    # so it is the input of step t - (K - 1); the inputs of the last K - 1
+    # steps are the bits of the end state, oldest at the LSB.
     decisions = np.empty((total, batch), dtype=np.uint8)
-    for t in range(total - 1, -1, -1):
-        decisions[t] = state >= half
-        choice = flat[t].take(state * batch + cols)
-        state = ((state & (half - 1)) << 1) | choice
+    last = total - memory
+    for t in range(max(last, 0), total):
+        decisions[t] = state >> (t - last) & 1
+    cols = np.arange(batch)
+    for t0 in reversed(range(memory - memory % chunk, total, chunk)):
+        t1 = min(t0 + chunk, total)
+        if t1 < total:
+            chosen = np.unpackbits(survivors[t0:t1], axis=-1, count=width)
+        for t in range(t1 - 1, max(t0, memory) - 1, -1):
+            choice = chosen[t - t0].take(state * batch + cols)
+            decisions[t - memory] = choice
+            state = ((state & (half - 1)) << 1) | choice
+        del chosen
     return np.ascontiguousarray(decisions[:k].T)

@@ -9,6 +9,7 @@ simulated in parallel.  Bits are stored as ``uint8`` arrays with values in
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -93,14 +94,14 @@ def count_errors(b: np.ndarray, b_hat: np.ndarray) -> tuple[int, int]:
     b_hat = np.asarray(b_hat)
     if b.shape != b_hat.shape:
         raise ValueError(f"shape mismatch {b.shape} vs {b_hat.shape}")
-    diff = (b != b_hat).reshape(b.shape[0], -1)
+    diff = (b != b_hat).reshape(b.shape[0], math.prod(b.shape[1:]))
     return int(diff.sum()), int(np.any(diff, axis=1).sum())
 
 
 def tile_rows(bytes_per_row: int, budget: int = TILE_BYTES) -> int:
     """Rows of ``bytes_per_row`` bytes each that fit ``budget`` bytes; at
-    least one."""
-    return max(1, budget // bytes_per_row)
+    least one, also for rows of no bytes."""
+    return max(1, budget // max(bytes_per_row, 1))
 
 
 def cpu_count() -> int:

@@ -465,7 +465,8 @@ class LdpcCode5G:
             raise ValueError(f"expected {self.k} info bits, got {bits.shape[-1]}")
         batch, z, kb, base = bits.shape[0], self.z, self._kb, self._base
         blocks = np.zeros((batch, self._nb, z), dtype=np.uint8)
-        word = blocks.reshape(batch, -1)  # a view: writes land in blocks
+        # A view: writes land in blocks.
+        word = blocks.reshape(batch, self._nb * z)
         word[:, : self.k] = bits
         core = base[:, 0] < 4
 

@@ -165,7 +165,7 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.shape[-1]} not divisible by {m} bits/symbol"
         )
-    groups = bits.reshape(*bits.shape[:-1], -1, m)
+    groups = bits.reshape(*bits.shape[:-1], bits.shape[-1] // m, m)
     # Horner's rule, most significant bit first: one label-sized array in
     # place of an int64 copy of every bit.
     labels = groups[..., 0].astype(np.intp)
@@ -192,12 +192,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _demap(y, no, constellation, prior, mode, dtype):
-    y = np.asarray(y)
+    y = np.atleast_1d(y)
     no = np.asarray(no, dtype=np.float64)
     if not np.all(no > 0):  # also rejects NaN
         raise ValueError("demap: noise variance must be > 0")
     m = constellation.num_bits_per_symbol
-    out_shape = (*y.shape[:-1], -1)
+    out_shape = (*y.shape[:-1], y.shape[-1] * m)
     if no.ndim:
         no = np.broadcast_to(no, y.shape).reshape(-1)
     y = y.reshape(-1)

@@ -420,11 +420,16 @@ def polar_scl_decode(
 
     def fork(pen0, pen1):
         # The stable sort keeps the lower (path, bit) index on metric ties.
+        # It sorts the int64 view of the candidates, which orders as the
+        # floats do: metrics start at +0.0 and every penalty, and every sum
+        # of penalties, is a max(+-a, 0) of either zero sign or more, so a
+        # candidate is +0.0 (+0 plus -0 rounds to +0), positive or +inf,
+        # and the bits of such floats rise with their values.
         nonlocal metrics
         np.add(metrics, pen0, out=cand[..., 0])
         np.add(metrics, pen1, out=cand[..., 1])
-        order = np.argsort(cand.reshape(batch, 2 * list_size), axis=1,
-                           kind="stable")[:, :list_size]
+        order = np.argsort(cand.reshape(batch, 2 * list_size).view(np.int64),
+                           axis=1, kind="stable")[:, :list_size]
         order += first_cand
         metrics = np.take(cand, order)
         return (order & 1).astype(np.uint8), order >> 1

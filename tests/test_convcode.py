@@ -293,3 +293,76 @@ class TestViterbi:
         code = ConvCode()
         with pytest.raises(ValueError):
             viterbi_decode(np.zeros((1, 7)), code)
+
+
+def traced_peak(call):
+    """The result of call() and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPackedSurvivors:
+    """One bit per trellis decision, and the LLRs used as given."""
+
+    def test_memory_k7_float32(self):
+        # ofdm-tdl's decode: the K=7 code on 128 rows of k=2298, float32
+        # LLRs as the demapper hands them over at precision single.
+        code = ConvCode(7, (0o133, 0o171))
+        batch, steps = 128, 2298 + code.tail_bits
+        llr = RngStream(51, 0).generator().normal(
+            size=(batch, code.num_outputs * steps)).astype(np.float32)
+        out, peak = traced_peak(lambda: viterbi_decode(llr, code))
+        assert out.shape == (batch, 2298)
+        assert peak < 12 << 20
+
+    def test_memory_bounded_by_packed_survivors(self):
+        # The six-generator K=9 case of test_memory_bounded_by_back_pointers,
+        # bounded by one bit per state and step.
+        code = ConvCode(9, (0o557, 0o663, 0o711, 0o561, 0o753, 0o715))
+        batch, steps = 128, 2298
+        llr = RngStream(50, 0).generator().normal(
+            size=(batch, code.num_outputs * steps))
+        out, peak = traced_peak(lambda: viterbi_decode(llr, code))
+        assert out.shape == (batch, steps - code.tail_bits)
+        assert peak < steps * code.num_states * batch / 8 + (8 << 20)
+
+    @pytest.mark.parametrize("termination", ["zero-tail", "none"])
+    @pytest.mark.parametrize("constraint_length, generators", [
+        (7, (0o133, 0o171)),
+        (7, (0o117, 0o127, 0o155, 0o171, 0o133, 0o165)),
+        (9, (0o561, 0o753)),
+        (9, (0o557, 0o663, 0o711, 0o561, 0o753, 0o715)),
+    ])
+    def test_float32_chunk_boundaries_match_seed_decoder(
+            self, constraint_length, generators, termination):
+        # float32 LLRs reach the float64 branch metrics uncast; magnitudes
+        # from 1e-6 to 1e6 must give the decisions of a float64 copy.
+        code = ConvCode(constraint_length, generators, termination)
+        batch = 128
+        labels = len({tuple(bin(reg & g).count("1") & 1 for g in generators)
+                      for reg in range(2 * code.num_states)})
+        chunk = max(1, convcode._TILE_BYTES // (8 * labels * batch))
+        g = RngStream(52, constraint_length).generator()
+        for steps in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            if steps <= code.tail_bits:
+                continue
+            size = (batch, code.num_outputs * steps)
+            llr = (g.choice([-1.0, 1.0], size=size)
+                   * 10.0 ** g.uniform(-6, 6, size=size)).astype(np.float32)
+            assert np.array_equal(viterbi_decode(llr, code),
+                                  seed_viterbi_decode(llr, code)), \
+                (steps, chunk)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_input_unchanged(self, dtype):
+        code = ConvCode(7, (0o133, 0o171))
+        llr = RngStream(53, 0).generator().integers(
+            -4, 5, size=(16, 2 * 40)).astype(dtype)
+        before = llr.copy()
+        viterbi_decode(llr, code)
+        assert llr.dtype == dtype
+        assert np.array_equal(llr, before)

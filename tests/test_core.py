@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linksim import core
+from linksim import (Constellation, ConvCode, LdpcCode5G, core, demap_app,
+                     demap_maxlog, ldpc5g_encode, map_bits, viterbi_decode)
 from linksim.core import (LLR_MAX, RngStream, binary_source, compute_ber,
                           compute_bler, count_errors, ebnodb2no, hard_decide,
                           map_tiles)
@@ -123,6 +124,27 @@ class TestHardDecide:
         # 1 iff L > 0; the tie L == 0 decides 0.
         llr = np.array([-2.0, -1e-12, 0.0, 1e-12, LLR_MAX])
         assert np.array_equal(hard_decide(llr), [0, 0, 0, 1, 1])
+
+
+QAM16 = Constellation("qam", 4)
+
+
+@pytest.mark.parametrize("block, args, expected", [
+    (map_bits, (np.zeros((0, 8), np.uint8), QAM16), (0, 2)),
+    (demap_app, (np.zeros((0, 2), np.complex64), 0.1, QAM16), (0, 8)),
+    (demap_maxlog, (np.zeros((0, 2), np.complex64), np.ones((0, 2)), QAM16),
+     (0, 8)),
+    (count_errors, (np.zeros((0, 5)), np.zeros((0, 5))), (0, 0)),
+    (ldpc5g_encode, (np.zeros((0, 500), np.uint8), LdpcCode5G(500, 1000)),
+     (0, 1000)),
+    (viterbi_decode, (np.zeros((0, 2 * 22)), ConvCode(7, (0o133, 0o171))),
+     (0, 16)),
+])
+def test_empty_batch_gives_empty_result(block, args, expected):
+    # A batch of no rows runs through every block, as it does through
+    # ldpc5g_decode, conv_encode and awgn; binary_source keeps rejecting it.
+    out = block(*args)
+    assert (out if block is count_errors else out.shape) == expected
 
 
 class TestPairwiseSum:

@@ -38,11 +38,14 @@ performance change quotes.  The groups:
   128x766 symbols with one noise variance per symbol, ``no / |h|**2``
   with Rayleigh ``h``, as the OFDM/TDL sweep passes after zero-forcing;
   8-PSK APP, 1024x250 symbols: the single-factor (non-separable) path.
-- viterbi: ``viterbi_decode`` of zero-tail codes on LLRs from a 0.5
-  grid, so that path metrics tie.  The K=7 (133, 171) code (64 states):
-  64 rows of k=500, and 128 rows of k=2298, the shape of the benchmark's
-  ofdm-tdl sweep; the K=9 rate-1/3 (557, 663, 711) code (256 states):
-  128 rows of k=500.
+- viterbi: ``viterbi_decode`` of zero-tail codes on float64 LLRs from a
+  0.5 grid, so that path metrics tie.  The K=7 (133, 171) code (64
+  states): 64 rows of k=500, and 128 rows of k=2298, the shape of the
+  benchmark's ofdm-tdl sweep; k7-128x2298-f32, the same LLRs as float32,
+  the dtype ofdm-tdl's demapper hands the decoder at ``precision:
+  single``; the K=9 rate-1/3 (557, 663, 711) code (256 states): 128 rows
+  of k=500.  Each row also gives ``peak_mb``, the ``tracemalloc`` peak
+  of one more call, made apart from the timed calls, in MiB.
 - encode: ``ldpc5g_encode`` of random bits: (500,1000) at 1024 rows, the
   listing1 sweep's encoder, and (512,1024) at 256 rows, mimo-ldpc's; and
   the polar5g (1024, 512) CRC-24A encoder (``crc_attach`` then
@@ -88,6 +91,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,18 +200,32 @@ def bench_demap(repeat):
         yield label, symbols, seconds, symbols / seconds / 1e6
 
 
+def peak_mib(call) -> float:
+    """The ``tracemalloc`` peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
 def bench_viterbi(repeat):
-    yield "case", "seconds", "codewords/s", "Msteps/s"
+    yield "case", "seconds", "codewords/s", "Msteps/s", "peak_mb"
     k7 = ConvCode(7, (0o133, 0o171))
     k9 = ConvCode(9, (0o557, 0o663, 0o711))
-    for name, code, rows, k in (("k7", k7, 64, 500), ("k7", k7, 128, 2298),
-                                ("k9-r1/3", k9, 128, 500)):
+    for label, code, rows, k, dtype in (
+            ("k7-64x500", k7, 64, 500, np.float64),
+            ("k7-128x2298", k7, 128, 2298, np.float64),
+            ("k7-128x2298-f32", k7, 128, 2298, np.float32),
+            ("k9-r1/3-128x500", k9, 128, 500, np.float64)):
         steps = k + code.tail_bits
         g = RngStream(3, k).generator()
-        llr = 0.5 * g.integers(-4, 5, size=(rows, code.num_outputs * steps))
+        llr = (0.5 * g.integers(-4, 5, size=(rows, code.num_outputs * steps))
+               ).astype(dtype)
         seconds = median_seconds(lambda: viterbi_decode(llr, code), repeat)
-        yield (f"{name}-{rows}x{k}", seconds, rows / seconds,
-               rows * steps / seconds / 1e6)
+        yield (label, seconds, rows / seconds, rows * steps / seconds / 1e6,
+               peak_mib(lambda: viterbi_decode(llr, code)))
 
 
 def bench_encode(repeat):
