@@ -20,7 +20,8 @@ the complex ``y``, all 2**m points and all bits.
 Per factor, the demapper computes ``-|y_f - level|**2 / no`` plus the
 factor's share of the prior, gathers the per-bit subsets into a
 ``[2, bits, levels/2, symbols]`` tensor and reduces it with a max-shifted
-log-sum-exp (APP) or a max (max-log).  It walks the symbols in tiles sized
+log-sum-exp (APP) or a max (max-log); a subset of one level (BPSK, each
+QPSK axis) needs no exp or log.  It walks the symbols in tiles sized
 so that tensor takes about ``core.TILE_BYTES``, which bounds the peak
 temporary for any batch size and constellation order.
 """
@@ -184,6 +185,10 @@ def _tile_symbols(constellation: Constellation) -> int:
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """ln(sum(exp(a))) over axis 2, shifted by the maximum; overwrites a."""
+    if a.shape[2] == 1:
+        # One level per subset (BPSK, each QPSK axis): log(1.0) + peak is
+        # peak + 0.0, which also turns -0.0 into +0.0.
+        return a[:, :, 0] + 0.0
     peak = np.max(a, axis=2)
     peak[~np.isfinite(peak)] = 0.0
     np.subtract(a, peak[:, :, None], out=a)

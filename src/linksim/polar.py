@@ -7,8 +7,10 @@ the length-1024 beta-expansion reliability order, computed on first use
 (not the table of 3GPP TS 38.212); Reed-Muller codes reuse the same
 machinery with a row-weight information set.
 
-The CRC remainder is one GF(2) matrix product with the table of
-x^j mod g (the CRC has zero initial state, so it is linear).
+The CRC remainder is read from byte tables (Sarwate, "Computation of
+Cyclic Redundancy Checks via Table Look-Up", CACM 1988): with zero
+initial state it is linear over GF(2), so each row's remainder is the
+XOR of one cached table entry per byte of the row.  No step calls BLAS.
 
 SC and SCL decoding run one recursive walk of the code tree and differ
 only in the leaf that decides a bit.  From the root's LLRs, copied once,
@@ -94,18 +96,21 @@ CRC_POLYNOMIALS = {
 }
 
 
-def _crc_remainder(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
-    """Polynomial-division remainder of bits * x^degree, per batch row.
+@functools.lru_cache(maxsize=16)
+def _crc_table(poly: CrcPolynomial, length: int) -> np.ndarray:
+    """Read-only [ceil(length / 8), 256, words] uint64 byte table of the CRC
+    remainder for rows of ``length`` bits.
 
-    With zero initial state the remainder is linear over GF(2): bit t of
-    a length-l row adds x^(l - 1 - t + degree) mod g.  So it is one matrix
-    product with the [l, degree] table of those powers, summed exactly in
-    float64 (sums of 0/1 terms are integers far below 2^53), then taken
-    mod 2.
+    Entry [j, v] is the XOR, over the set bits i of byte value v (MSB
+    first), of x^(length - 1 - t + degree) mod g for bit t = 8j + i of the
+    row.  Bits past the row's end are zero in every packed row, so they
+    add nothing.  Each entry holds the degree-bit remainder as big-endian
+    bytes at the top of ``ceil(degree / 64)`` 64-bit words, so that XOR
+    works on whole words and ``np.unpackbits(count=degree)`` of the bytes
+    reads it back MSB first, for any degree.
     """
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     deg = poly.degree
-    length = bits.shape[1]
+    width = 8 * -(-deg // 64)  # bytes per entry
     g = int("".join(map(str, poly.coefficients)), 2)
     powers = []  # x^(j + degree) mod g for j = 0 .. length - 1
     p = g ^ (1 << deg)
@@ -114,11 +119,37 @@ def _crc_remainder(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
         p <<= 1
         if p >> deg:
             p ^= g
-    # Row t: the bits of x^(l - 1 - t + degree) mod g, MSB first.
-    table = (np.array(powers[::-1], dtype=np.int64)[:, None]
-             >> np.arange(deg - 1, -1, -1)) & 1
-    product = bits.astype(np.float64) @ table.astype(np.float64)
-    return (product.astype(np.int64) & 1).astype(np.uint8)
+    # Row t: the bytes of x^(l - 1 - t + degree) mod g; zero past the end.
+    nbytes = -(-length // 8)
+    rows = powers[::-1] + [0] * (8 * nbytes - length)
+    single = np.frombuffer(b"".join(
+        (q << 8 * width - deg).to_bytes(width, "big") for q in rows),
+        dtype=np.uint8).reshape(nbytes, 8, width)
+    # Values [w, 2w) add the bit of weight w (row 7 - log2 w of the byte)
+    # to the entries of values [0, w).
+    table = np.zeros((nbytes, 256, width), dtype=np.uint8)
+    for k in range(8):
+        w = 1 << k
+        np.bitwise_xor(table[:, :w], single[:, 7 - k, None],
+                       out=table[:, w:2 * w])
+    table = table.view(np.uint64)
+    table.setflags(write=False)  # shared by every thread that checks
+    return table
+
+
+def _crc_remainder(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:
+    """Polynomial-division remainder of bits * x^degree, per batch row.
+
+    With zero initial state the remainder is linear over GF(2), so it is
+    the XOR of one :func:`_crc_table` entry per byte of the packed row.  A
+    byte value counts by its parity, as 0/1 bits do.
+    """
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    table = _crc_table(poly, bits.shape[1])
+    packed = np.packbits(bits & 1, axis=1)
+    rem = np.bitwise_xor.reduce(table[np.arange(packed.shape[1]), packed],
+                                axis=1)
+    return np.unpackbits(rem.view(np.uint8), axis=1, count=poly.degree)
 
 
 def crc_attach(bits: np.ndarray, poly: CrcPolynomial) -> np.ndarray:

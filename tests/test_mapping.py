@@ -198,6 +198,16 @@ class TestDemapApp:
         llr = demap_app(y, 1.0, c)
         assert llr[0, 0] == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("kind, m", [("qam", 2), ("psk", 1)])
+    def test_one_level_subsets_take_no_log(self, kind, m):
+        # At this noise variance every metric but the sent point's is -inf,
+        # so each LLR is +-inf; a one-level subset takes no log(0).
+        c = Constellation(kind, m)
+        bits = binary_source([4, 8 * m], RngStream(6))
+        with np.errstate(divide="raise", over="ignore"):
+            llr = demap_app(map_bits(bits, c), 1e-320, c)
+        assert np.array_equal(llr, np.where(bits == 1, np.inf, -np.inf))
+
     def test_llr_calibration(self):
         # Pr(b=1 | L) should equal sigmoid(L): bin empirical frequencies.
         c = Constellation("qam", 4)

@@ -1,14 +1,20 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linksim import polar
 from linksim.channel import awgn
-from linksim.core import RngStream, binary_source, compute_bler, ebnodb2no
-from linksim.polar import (CRC_POLYNOMIALS, PolarCode, _crc_remainder,
+from linksim.core import (RngStream, binary_source, compute_bler, cpu_count,
+                          ebnodb2no)
+from linksim.polar import (CRC_POLYNOMIALS, CrcPolynomial, PolarCode,
+                           _crc_remainder, _crc_table,
                            _f_exact, _f_minsum, crc_attach, crc_check,
                            polar5g_construct, polar_encode, polar_sc_decode,
                            polar_scl_decode, polar_transform, rm_construct,
@@ -448,6 +454,102 @@ class TestCrcMatchesRegister:
             rem = _crc_remainder(bits[:, :length], poly)
             assert rem.dtype == np.uint8
             assert np.array_equal(rem, states[length - 1]), length
+
+    @pytest.mark.parametrize("name", sorted(CRC_POLYNOMIALS))
+    def test_every_length_to_1100(self, name):
+        # Lengths that are no multiple of 8 and lengths above 1024 too.
+        poly = CRC_POLYNOMIALS[name]
+        bits = np.random.default_rng(len(name)).integers(
+            0, 2, size=(16, 1100), dtype=np.uint8)
+        states = crc_register_states(bits, poly)
+        for length in range(1, 1101):
+            rem = _crc_remainder(bits[:, :length], poly)
+            assert np.array_equal(rem, states[length - 1]), length
+
+    @pytest.mark.parametrize("degree", [64, 65, 130])
+    def test_wide_custom_polynomial(self, degree):
+        g = np.random.default_rng(degree)
+        poly = CrcPolynomial(f"deg{degree}", (1, *g.integers(0, 2, degree)))
+        bits = g.integers(0, 2, size=(8, 300), dtype=np.uint8)
+        states = crc_register_states(bits, poly)
+        for length in range(1, 301):
+            rem = _crc_remainder(bits[:, :length], poly)
+            assert rem.shape == (8, degree)
+            assert np.array_equal(rem, states[length - 1]), length
+        frame = crc_attach(bits, poly)
+        assert crc_check(frame, poly).all()
+
+    @pytest.mark.parametrize("name", sorted(CRC_POLYNOMIALS))
+    def test_empty_payload(self, name):
+        # A frame of exactly degree bits holds no payload, whose remainder
+        # is the register's zero initial state.
+        poly = CRC_POLYNOMIALS[name]
+        frames = np.random.default_rng(2).integers(
+            0, 2, size=(64, poly.degree), dtype=np.uint8)
+        frames[0] = 0
+        assert np.array_equal(crc_check(frames, poly), ~frames.any(axis=1))
+        assert np.array_equal(_crc_remainder(frames[:, :0], poly),
+                              np.zeros((64, poly.degree), dtype=np.uint8))
+
+    @pytest.mark.parametrize("name", sorted(CRC_POLYNOMIALS))
+    def test_empty_batch(self, name):
+        poly = CRC_POLYNOMIALS[name]
+        frame = crc_attach(np.zeros((0, 40), dtype=np.uint8), poly)
+        assert frame.shape == (0, 40 + poly.degree)
+        ok = crc_check(np.zeros((0, 64), dtype=np.uint8), poly)
+        assert ok.shape == (0,) and ok.dtype == bool
+
+    @pytest.mark.parametrize("name", sorted(CRC_POLYNOMIALS))
+    def test_byte_values_count_by_parity(self, name):
+        poly = CRC_POLYNOMIALS[name]
+        values = np.random.default_rng(3).integers(
+            0, 4, size=(32, 203), dtype=np.uint8)
+        want = crc_register_states(values & 1, poly)[-1]
+        assert np.array_equal(_crc_remainder(values, poly), want)
+        frame = np.concatenate([values, want], axis=1)
+        assert crc_check(frame, poly).all()
+
+    def test_cached_table_is_read_only(self):
+        poly = CRC_POLYNOMIALS["crc24a"]
+        table = _crc_table(poly, 488)
+        assert table is _crc_table(poly, 488)
+        assert table.shape == (61, 256, 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 0
+
+
+# Run in a fresh interpreter: the CRC calls of the polar path, then an idle
+# window.  A threaded BLAS call would leave its worker spinning there.
+_IDLE_CPU_PROBE = """
+import time
+import numpy as np
+from linksim.polar import CRC_POLYNOMIALS, crc_attach, crc_check
+poly = CRC_POLYNOMIALS["crc24a"]
+g = np.random.default_rng(0)
+frames = g.integers(0, 2, size=(2048, 512), dtype=np.uint8)
+payload = g.integers(0, 2, size=(256, 488), dtype=np.uint8)
+cpu, wall = time.process_time(), time.perf_counter()
+crc_check(frames, poly)
+crc_attach(payload, poly)
+calls = time.perf_counter() - wall
+time.sleep(0.3)
+print(time.process_time() - cpu, calls)
+"""
+
+
+@pytest.mark.skipif(cpu_count() < 2, reason="no second CPU to spin on")
+def test_crc_leaves_no_thread_working():
+    # The process's CPU time over the calls and the idle window stays
+    # within the calls' wall time: no other thread worked meanwhile.
+    env = {name: value for name, value in os.environ.items()
+           if not name.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _IDLE_CPU_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cpu, calls = map(float, proc.stdout.split())
+    assert cpu <= calls + 0.05, (cpu, calls)
 
 
 def _scl_cases():

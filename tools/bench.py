@@ -7,13 +7,18 @@
 GROUP is one of bp, scl, demap, viterbi, encode, sweeps; with none given,
 every group runs.  Each micro-benchmark case runs one call on a fixed input
 drawn from a fixed seed, so every run sees the same input, ``--repeat``
-times (default: BP 3, encode 7, the others 5) and prints the median seconds
-and a rate.  The last line of standard output is one JSON object: the rows
-of every group run, each number as measured (the printed table rounds
-it), and a manifest of the machine and the checkout (nproc, affinity
-CPUs, CPU model, Python and numpy versions, ``git rev-parse HEAD``, null
-outside a checkout).  Saved as ``BENCH_<pr>.json``, it is the record a
-performance change quotes.  The groups:
+times (default: BP 3, encode 7, the others 5) and prints the median seconds,
+the median process CPU seconds of the same calls (``cpu_s``, from
+``time.process_time()``, which counts every thread of the process) and a
+rate.  ``cpu_s`` above ``seconds`` means that other threads worked during
+the call: BP's helper threads do by design; anything else, such as a
+threaded BLAS call left spinning, is a finding.  The last line of standard
+output is one JSON object: the rows of every group run, each number as
+measured (the printed table rounds it), and a manifest of the machine and
+the checkout (nproc, affinity CPUs, CPU model, Python and numpy versions,
+``git rev-parse HEAD``, null outside a checkout).  Saved as
+``BENCH_<pr>.json``, it is the record a performance change quotes.  The
+groups:
 
 - bp: ``ldpc5g_decode`` on float32 16-QAM AWGN LLRs, 20 iterations, also
   printing the edge count of the graph BP runs on.  (500,1000)
@@ -108,17 +113,20 @@ from linksim import (CRC_POLYNOMIALS, Constellation, ConvCode,  # noqa: E402
 from linksim.core import cpu_count  # noqa: E402
 
 
-def median_seconds(call, repeat: int) -> float:
-    times = []
+def median_seconds(call, repeat: int) -> tuple:
+    """The median wall seconds and the median process CPU seconds of
+    ``repeat`` calls."""
+    times, cpu = [], []
     for _ in range(repeat):
-        t0 = time.perf_counter()
+        c0, t0 = time.process_time(), time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        cpu.append(time.process_time() - c0)
+    return statistics.median(times), statistics.median(cpu)
 
 
 def bench_bp(repeat):
-    yield "case", "seconds", "codewords/s", "edges"
+    yield "case", "seconds", "cpu_s", "codewords/s", "edges"
     const = Constellation("qam", 4)
     # (label, k, n, variant, rows, Eb/N0 dB, demapper)
     for label, k, n, variant, rows, ebno_db, demap in (
@@ -134,13 +142,13 @@ def bench_bp(repeat):
         no = ebnodb2no(ebno_db, 4, code.coderate)
         y = awgn(x, no, rng.child(1))
         llr = np.asarray(demap(y, no, const), dtype=np.float32)
-        seconds = median_seconds(lambda: ldpc5g_decode(
+        seconds, cpu_s = median_seconds(lambda: ldpc5g_decode(
             llr, code, num_iter=20, variant=variant), repeat)
-        yield label, seconds, rows / seconds, code._graph.num_edges
+        yield label, seconds, cpu_s, rows / seconds, code._graph.num_edges
 
 
 def bench_scl(repeat):
-    yield "case", "seconds", "codewords/s"
+    yield "case", "seconds", "cpu_s", "codewords/s"
     k, n, rows, ebno_db = 512, 1024, 256, 1.0
     code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
     no = ebnodb2no(ebno_db, 1, k / n)
@@ -172,12 +180,12 @@ def bench_scl(repeat):
             ("ca-scl-L8-2x256", wave, 2 * rows),
             ("ca-scl-L8-f32", lambda: polar_scl_decode(
                 llr32, code, list_size=8, use_crc=True), rows)):
-        seconds = median_seconds(decode, repeat)
-        yield label, seconds, decoded / seconds
+        seconds, cpu_s = median_seconds(decode, repeat)
+        yield label, seconds, cpu_s, decoded / seconds
 
 
 def bench_demap(repeat):
-    yield "case", "symbols", "seconds", "Msym/s"
+    yield "case", "symbols", "seconds", "cpu_s", "Msym/s"
     # (label, kind, bits per symbol, demapper, rows, symbols per row,
     #  per-symbol noise variance)
     for label, kind, m, demap, rows, cols, per_symbol in (
@@ -195,9 +203,9 @@ def bench_demap(repeat):
             no = no / np.abs(complex_gaussian((rows, cols), rng.child(2))) ** 2
         noise = complex_gaussian((rows, cols), rng.child(1))
         y = (x + np.sqrt(no) * noise).astype(np.complex64)
-        seconds = median_seconds(lambda: demap(y, no, const), repeat)
+        seconds, cpu_s = median_seconds(lambda: demap(y, no, const), repeat)
         symbols = rows * cols
-        yield label, symbols, seconds, symbols / seconds / 1e6
+        yield label, symbols, seconds, cpu_s, symbols / seconds / 1e6
 
 
 def peak_mib(call) -> float:
@@ -211,7 +219,7 @@ def peak_mib(call) -> float:
 
 
 def bench_viterbi(repeat):
-    yield "case", "seconds", "codewords/s", "Msteps/s", "peak_mb"
+    yield "case", "seconds", "cpu_s", "codewords/s", "Msteps/s", "peak_mb"
     k7 = ConvCode(7, (0o133, 0o171))
     k9 = ConvCode(9, (0o557, 0o663, 0o711))
     for label, code, rows, k, dtype in (
@@ -223,24 +231,27 @@ def bench_viterbi(repeat):
         g = RngStream(3, k).generator()
         llr = (0.5 * g.integers(-4, 5, size=(rows, code.num_outputs * steps))
                ).astype(dtype)
-        seconds = median_seconds(lambda: viterbi_decode(llr, code), repeat)
-        yield (label, seconds, rows / seconds, rows * steps / seconds / 1e6,
+        seconds, cpu_s = median_seconds(lambda: viterbi_decode(llr, code),
+                                        repeat)
+        yield (label, seconds, cpu_s, rows / seconds,
+               rows * steps / seconds / 1e6,
                peak_mib(lambda: viterbi_decode(llr, code)))
 
 
 def bench_encode(repeat):
-    yield "case", "seconds", "codewords/s"
+    yield "case", "seconds", "cpu_s", "codewords/s"
     for k, n, rows in ((500, 1000, 1024), (512, 1024, 256)):
         code = LdpcCode5G(k, n)
         bits = binary_source([rows, k], RngStream(9, k))
-        seconds = median_seconds(lambda: ldpc5g_encode(bits, code), repeat)
-        yield f"{k}x{n}-{rows}", seconds, rows / seconds
+        seconds, cpu_s = median_seconds(lambda: ldpc5g_encode(bits, code),
+                                        repeat)
+        yield f"{k}x{n}-{rows}", seconds, cpu_s, rows / seconds
     k, n, rows = 512, 1024, 256
     code = polar5g_construct(k, n, crc=CRC_POLYNOMIALS["crc24a"])
     bits = binary_source([rows, k - code.crc.degree], RngStream(9, n))
-    seconds = median_seconds(
+    seconds, cpu_s = median_seconds(
         lambda: polar_encode(crc_attach(bits, code.crc), code), repeat)
-    yield f"polar-{k}x{n}-{rows}", seconds, rows / seconds
+    yield f"polar-{k}x{n}-{rows}", seconds, cpu_s, rows / seconds
 
 
 def bench_sweeps(workloads):
